@@ -24,7 +24,7 @@ print("graph:", g)
 
 # right translations commute with the left-multiplication labels exactly
 base = table[:, 17].copy()
-print("translation defect:", defect_of_map(g, VertexMap(base), compute_boundary=False).bad_edges)
+print("translation defect:", defect_of_map(g, VertexMap(base)).bad_edges)
 
 # corrupt the translation at two points
 corrupted = base.copy()
@@ -32,7 +32,7 @@ corrupted[[5, 40]] = corrupted[[40, 5]]
 c = VertexMap(corrupted)
 rep = defect_of_map(g, c)
 print(f"corrupted: {rep.bad_edges} bad edges, epsilon = {rep.epsilon:.4f}")
-print("boundary of its graph:", rep.boundary_of_graph, "= 2 * bad edges")
+print("boundary of its graph:", boundary(product_graph(g, g), graph_of_map(g, c))[0], "= 2 * bad edges")
 
 # improve it back
 cfg = ImprovementConfig(kappa=0.2, radius=1, smoothing_steps=10, target_delta=1 / g.n)

@@ -7,6 +7,8 @@ for simple graphs its edge boundary is exactly twice the number of bad edges,
 and shrinking that boundary is what the improvement pipeline does: smooth the
 indicator of the graph with the averaging operator, take the best sweep cut
 near the original set, then repair the result to the graph of a bijection.
+The product graph is built once per :class:`ImprovementWorkspace`, and every
+product-graph quantity, the reported boundary included, is read from there.
 """
 
 from __future__ import annotations
@@ -20,14 +22,14 @@ from .core_graph import (
     LabeledGraph,
     RootedBall,
     VertexSet,
-    boundary,
     edge_slots,
     good_vertices,
+    is_connected,
     product_graph,
     rooted_ball,
 )
 from .errors import LengthMismatch, NotBijective
-from .expansion import descending_order, lambda2
+from .expansion import descending_order, lambda2, prefix_boundary_counts
 
 REPAIR_RESCORING_LIMIT = 512
 
@@ -79,7 +81,8 @@ def invert(c: VertexMap) -> VertexMap:
 
 @dataclass
 class DefectReport:
-    """Bad-edge count of a map, with the product-graph boundary of its graph."""
+    """Bad-edge count of a map; :func:`improve` also fills in the
+    product-graph boundary of its graph (None elsewhere)."""
 
     bad_edges: int
     epsilon: float
@@ -111,18 +114,13 @@ def graph_of_map(g: LabeledGraph, c: VertexMap) -> VertexSet:
     return VertexSet(mask)
 
 
-def defect_of_map(g: LabeledGraph, c: VertexMap, compute_boundary: bool = True) -> DefectReport:
-    """Count bad edges of ``c``; optionally also measure the boundary of its
-    graph inside the product graph (the independent route of the boundary
-    correspondence)."""
+def defect_of_map(g: LabeledGraph, c: VertexMap) -> DefectReport:
+    """Count bad edges of ``c``.  The boundary of its graph is left None;
+    ``core_graph.boundary`` over the product graph measures it independently."""
     if c.n != g.n:
         raise LengthMismatch(f"map on {c.n} vertices, graph has {g.n}")
     bad = _bad_edge_count(g, c.images)
-    bnd = None
-    if compute_boundary:
-        prod = product_graph(g, g)
-        bnd = boundary(prod, graph_of_map(g, c))[0]
-    return DefectReport(bad_edges=bad, epsilon=bad / g.n if g.n else 0.0, boundary_of_graph=bnd)
+    return DefectReport(bad_edges=bad, epsilon=bad / g.n if g.n else 0.0)
 
 
 @dataclass
@@ -188,7 +186,9 @@ class ImprovementTrace:
 
 class ImprovementWorkspace:
     """Precomputed product graph, good set and effective alpha for one
-    (graph, config) pair; reusable across many improve() calls."""
+    (graph, config) pair; reusable across many improve() calls.  The only
+    place the product graph is built: its actions drive the smoothing, its
+    edge slots the sweep and :meth:`graph_boundary`."""
 
     __slots__ = ("graph", "cfg", "reference", "good", "l_mask", "product", "edges_u", "edges_v", "alpha")
 
@@ -209,17 +209,9 @@ class ImprovementWorkspace:
             lower = len(g.gens) * (1.0 - sd.lambda2) / 2.0 if sd.converged else 0.0
             self.alpha = max(lower / 4.0, 1e-9)
 
-
-def _prefix_counts(ws: ImprovementWorkspace, order: np.ndarray) -> np.ndarray:
-    n = order.size
-    rank = np.empty(n, dtype=np.int64)
-    rank[order] = np.arange(n)
-    r1 = np.minimum(rank[ws.edges_u], rank[ws.edges_v])
-    r2 = np.maximum(rank[ws.edges_u], rank[ws.edges_v])
-    diff = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(diff, r1 + 1, 1)
-    np.add.at(diff, r2 + 1, -1)
-    return np.cumsum(diff)[1:n]
+    def graph_boundary(self, graph_mask: np.ndarray) -> int:
+        """Product-graph edge slots with exactly one endpoint in ``graph_mask``."""
+        return int(np.count_nonzero(graph_mask[self.edges_u] != graph_mask[self.edges_v]))
 
 
 def _keep_best_per_fiber(pair_idx: np.ndarray, fiber: np.ndarray, value: np.ndarray) -> np.ndarray:
@@ -282,9 +274,9 @@ def improve(
     ws = workspace if workspace is not None else ImprovementWorkspace(g, cfg)
     n = g.n
     big_n = n * n
-    initial = defect_of_map(g, c)
-
     b_mask = graph_of_map(g, c).mask
+    initial = defect_of_map(g, c)
+    initial.boundary_of_graph = ws.graph_boundary(b_mask)
     t_mask = b_mask & ws.l_mask
     good_set_degraded = False
     if not t_mask.any():
@@ -305,7 +297,7 @@ def improve(
         smoothed = smoothed[ws.product.actions].mean(axis=0)
 
     order = descending_order(smoothed)
-    counts = _prefix_counts(ws, order)  # prefix sizes 1..big_n-1
+    counts = prefix_boundary_counts(ws.edges_u, ws.edges_v, order)  # prefix sizes 1..big_n-1
     sizes = np.arange(1, big_n, dtype=np.int64)
     cum_t = np.cumsum(t_mask[order])[: big_n - 1]
     delta_t = t_size + sizes - 2 * cum_t
@@ -350,6 +342,7 @@ def improve(
     else:
         reverted = False
         result, final = candidate, cand_report
+        final.boundary_of_graph = ws.graph_boundary(graph_of_map(g, candidate).mask)
     hamming_moved = int(np.count_nonzero(result.images != c.images))
     trace = ImprovementTrace(
         t_size=t_size,
@@ -392,8 +385,6 @@ def label_automorphisms(g: LabeledGraph) -> list[VertexMap]:
     vertex 0: propagate c(s.x) = s.c(x) along a BFS tree and keep the
     candidates that commute with every action.
     """
-    from .core_graph import is_connected
-
     if g.n == 0:
         return []
     if not is_connected(g):

@@ -23,6 +23,7 @@ from . import __version__, groups
 from .almost_auto import (
     ImprovementConfig,
     format_map_text,
+    improve,
     label_automorphisms,
     parse_map_text,
 )
@@ -49,9 +50,6 @@ def _dump(doc: dict) -> str:
 
 def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="reserved; runs are single-process and deterministic")
-    parser.add_argument("--format", choices=["json"], default="json")
 
 
 def _add_improvement_flags(parser: argparse.ArgumentParser):
@@ -212,8 +210,6 @@ def _cmd_sofic(args) -> tuple[list[tuple[Path, str]], dict]:
 
 
 def _cmd_improve(args) -> tuple[list[tuple[Path, str]], dict]:
-    from .almost_auto import improve
-
     g = _load_graph(args.graph)
     c = parse_map_text(args.map.read_text())
     cfg = _improvement_config(args, g)
@@ -319,8 +315,6 @@ def run(argv) -> int:
             "inputs": _input_paths(args),
             "outputs": [str(p) for p, _ in outputs],
             "seed": getattr(args, "seed", None),
-            "threads": getattr(args, "threads", None),
-            "format": getattr(args, "format", "json"),
             "version": __version__,
             "wall_time_s": wall,
         }

@@ -65,7 +65,7 @@ def _check_delta_maps(g: LabeledGraph, delta: float, maps: list[VertexMap], requ
     for idx, m in enumerate(maps):
         if require_bijective and not m.bijective:
             raise NotBijective(f"map {idx} is not a bijection")
-        bad = defect_of_map(g, m, compute_boundary=False).bad_edges
+        bad = defect_of_map(g, m).bad_edges
         if bad > delta * g.n:
             raise DefectTooLarge(
                 f"map {idx} has {bad} bad edges, above delta*n = {delta * g.n:g}"
@@ -152,6 +152,32 @@ def cluster_maps(g: LabeledGraph, delta: float, maps: list[VertexMap]) -> list[C
     return clusters
 
 
+def _thresholds(n: int) -> str:
+    return f"n = {n}, n/5 = {n / 5:g}, 4n/5 = {4 * n / 5:g}"
+
+
+def _locate(reps: np.ndarray, m: VertexMap) -> int | None:
+    """Row of the k x n representative stack within n/5 of ``m``, or None.
+    Raises HypothesisViolation when two rows are that close or a distance
+    falls in the forbidden band (n/5, 4n/5]."""
+    n = reps.shape[1]
+    dist = np.count_nonzero(reps != m.images, axis=1)
+    hits = np.flatnonzero(5 * dist <= n)
+    if hits.size > 1:
+        i, j = hits[:2]
+        raise HypothesisViolation(
+            f"map lies within n/5 of representatives {i} and {j} "
+            f"(distances {dist[i]} and {dist[j]}; {_thresholds(n)})"
+        )
+    band = np.flatnonzero((5 * dist > n) & (5 * dist <= 4 * n))
+    if band.size:
+        i = band[0]
+        raise HypothesisViolation(
+            f"distance {dist[i]} to representative {i} falls in (n/5, 4n/5] ({_thresholds(n)})"
+        )
+    return int(hits[0]) if hits.size else None
+
+
 @dataclass
 class ClusterGroup:
     clusters: list[Cluster]
@@ -190,18 +216,20 @@ class _Closure:
         self.bound = bound
         self.members: list[list[VertexMap]] = []
         self.reps: list[VertexMap] = []
+        self.stack = np.empty((0, self.n), dtype=np.int64)  # reps as rows
         self.by_key: dict[tuple, int] = {}
 
     def improved(self, m: VertexMap) -> VertexMap:
-        out, _ = improve(self.g, m, self.cfg, workspace=self.ws)
-        bad = defect_of_map(self.g, out, compute_boundary=False).bad_edges
+        out, trace = improve(self.g, m, self.cfg, workspace=self.ws)
+        bad = trace.final.bad_edges
         if bad > self.delta * self.n:
             raise HypothesisViolation(
                 f"improvement left {bad} bad edges, above delta*n = {self.delta * self.n:g}"
             )
-        if 5 * hamming(m, out) > self.n:
+        if 5 * trace.hamming_moved > self.n:
             raise HypothesisViolation(
-                f"improvement moved a composition by {hamming(m, out)} > n/5 positions"
+                f"improvement moved a composition by distance {trace.hamming_moved} > n/5 "
+                f"({_thresholds(self.n)})"
             )
         return out
 
@@ -209,17 +237,8 @@ class _Closure:
         key = m.key()
         if key in self.by_key:
             return self.by_key[key]
-        hits = [i for i, rep in enumerate(self.reps) if 5 * hamming(m, rep) <= self.n]
-        if len(hits) > 1:
-            raise HypothesisViolation("map lies within n/5 of two representatives")
-        for idx, rep in enumerate(self.reps):
-            d = hamming(m, rep)
-            if self.n < 5 * d <= 4 * self.n:
-                raise HypothesisViolation(
-                    f"distance {d} to representative {idx} falls in (n/5, 4n/5]"
-                )
-        if hits:
-            idx = hits[0]
+        idx = _locate(self.stack, m)
+        if idx is not None:
             self.members[idx].append(m)
         else:
             if len(self.reps) >= self.bound:
@@ -228,6 +247,7 @@ class _Closure:
                 )
             idx = len(self.reps)
             self.reps.append(m)
+            self.stack = np.vstack([self.stack, m.images])
             self.members.append([m])
         self.by_key[key] = idx
         return idx
@@ -287,16 +307,15 @@ def cluster_group(
     final_members.sort(key=lambda mem: mem[0].key())
     clusters = [Cluster(mem[0], mem, delta) for mem in final_members]
     reps = [cl.representative for cl in clusters]
+    stack = np.stack([rep.images for rep in reps])
     k = len(reps)
     n = g.n
 
     def locate(m: VertexMap) -> int:
-        hits = [i for i, rep in enumerate(reps) if 5 * hamming(m, rep) <= n]
-        if len(hits) != 1:
-            raise HypothesisViolation(
-                f"map lies within n/5 of {len(hits)} representatives"
-            )
-        return hits[0]
+        idx = _locate(stack, m)
+        if idx is None:
+            raise HypothesisViolation("map lies within n/5 of 0 representatives")
+        return idx
 
     identity_index = locate(VertexMap.identity(n))
     table = np.empty((k, k), dtype=np.int64)
@@ -404,7 +423,7 @@ def lef_certificate(
     maps: dict[tuple[str, ...], VertexMap] = {}
     for letters in ff_letters:
         m = VertexMap(word_action(g, Word(letters, True)))
-        bad = defect_of_map(g_gamma, m, compute_boundary=False).bad_edges
+        bad = defect_of_map(g_gamma, m).bad_edges
         if bad > delta * g.n:
             raise DefectTooLarge(
                 f"word {' '.join(letters) or '()'} has {bad} bad gamma edges, above delta*n"
@@ -412,13 +431,13 @@ def lef_certificate(
         maps[letters] = m
 
     cg = cluster_group(g_gamma, delta, [maps[w] for w in ff_letters], cfg)
-    reps = [cl.representative for cl in cg.clusters]
+    stack = np.stack([cl.representative.images for cl in cg.clusters])
 
     def locate(m: VertexMap) -> int:
-        hits = [i for i, rep in enumerate(reps) if 5 * hamming(m, rep) <= g.n]
-        if len(hits) != 1:
+        idx = _locate(stack, m)
+        if idx is None:
             raise HypothesisViolation("word map does not sit in a unique cluster")
-        return hits[0]
+        return idx
 
     cluster_of = {letters: locate(maps[letters]) for letters in ff_letters}
     seen: dict[int, tuple[str, ...]] = {}

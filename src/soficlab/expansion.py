@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core_graph import LabeledGraph, VertexSet, edge_slots
+from .core_graph import LabeledGraph, VertexSet, boundary, edge_slots
 from .errors import DegenerateVector, LengthMismatch, TooLargeForExhaustive
 
 EXHAUSTIVE_LIMIT = 24
@@ -188,17 +188,15 @@ def lambda2(g: LabeledGraph, tol: float = 1e-10, max_iter: int = 10000, seed: in
     return SpectralData(lam, iterations, residual, converged, v)
 
 
-def prefix_boundary_counts(g: LabeledGraph, order: np.ndarray) -> np.ndarray:
-    """|bd(prefix_k)| for k = 1..n-1 along the given vertex order."""
-    n = g.n
+def prefix_boundary_counts(u: np.ndarray, v: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """|bd(prefix_k)| for k = 1..n-1 along the given vertex order, counted
+    over the edge-slot endpoint arrays ``u`` and ``v`` (see ``edge_slots``)."""
+    n = order.size
     rank = np.empty(n, dtype=np.int64)
     rank[order] = np.arange(n)
-    u, v, _ = edge_slots(g)
     r1 = np.minimum(rank[u], rank[v])
     r2 = np.maximum(rank[u], rank[v])
-    diff = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(diff, r1 + 1, 1)
-    np.add.at(diff, r2 + 1, -1)
+    diff = np.bincount(r1 + 1, minlength=n + 1) - np.bincount(r2 + 1, minlength=n + 1)
     return np.cumsum(diff)[1:n]
 
 
@@ -215,7 +213,8 @@ def sweep_cut(g: LabeledGraph, vec) -> tuple[VertexSet, float]:
     if np.all(vec == vec[0]):
         raise DegenerateVector("sweep vector is constant")
     order = descending_order(vec)
-    counts = prefix_boundary_counts(g, order)
+    u, v, _ = edge_slots(g)
+    counts = prefix_boundary_counts(u, v, order)
     half = g.n // 2
     ratios = counts[:half] / np.arange(1, half + 1)
     k = int(np.argmin(ratios)) + 1  # first minimum: smallest prefix wins ties
@@ -237,8 +236,6 @@ def cheeger_bounds(g: LabeledGraph, sd: SpectralData) -> CheegerEstimate:
         lower = max(0.0, d * (1.0 - sd.lambda2) / 2.0 - d * LOWER_BOUND_GUARD)
     else:
         lower = 0.0
-    from .core_graph import boundary  # local import to avoid cycle at module load
-
     singleton = VertexSet.from_indices(n, [0])
     best_set, best_ratio = singleton, float(boundary(g, singleton)[0])
     try:

@@ -119,7 +119,3 @@ def preset_group(name: str) -> tuple[np.ndarray, list[int]]:
         nb = tb.shape[0]
         return direct_product_table(ta, tb), [a * nb for a in ga] + list(gb)
     return _atom(name)
-
-
-def parse_group_name(name: str) -> np.ndarray:
-    return preset_group(name)[0]

@@ -72,7 +72,7 @@ def test_criterion_1_boundary_correspondence(rng):
         n = int(rng.integers(6, 201))
         g = random_simple_graph(rng, n)
         c = VertexMap(rng.permutation(n))
-        rep = defect_of_map(g, c, compute_boundary=False)
+        rep = defect_of_map(g, c)
         bnd = boundary(product_graph(g, g), graph_of_map(g, c))[0]
         if bnd != 2 * rep.bad_edges:
             ok = False
@@ -129,7 +129,7 @@ def test_criterion_4_automorphism_group_recovery():
     seeds3 = [
         VertexMap(p)
         for p in permutations(range(6))
-        if defect_of_map(g3, VertexMap(p), compute_boundary=False).bad_edges == 0
+        if defect_of_map(g3, VertexMap(p)).bad_edges == 0
     ]
     cg3 = cluster_group(g3, 0.0, seeds3, ImprovementConfig())
     inv3 = group_invariants(cg3)
@@ -141,7 +141,7 @@ def test_criterion_4_automorphism_group_recovery():
     rng = np.random.default_rng(SEED)
     for _ in range(2000):
         c = VertexMap(rng.permutation(5))
-        if defect_of_map(g5, c, compute_boundary=False).bad_edges == 0:
+        if defect_of_map(g5, c).bad_edges == 0:
             found.add(c.key())
     seeds5 = [VertexMap(k) for k in sorted(found)]
     cg5 = cluster_group(g5, 0.0, seeds5, ImprovementConfig())

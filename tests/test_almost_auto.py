@@ -4,7 +4,7 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from soficlab import boundary, cayley_graph, product_graph, rooted_ball
+from soficlab import GeneratorSet, boundary, cayley_graph, is_simple, make_labeled_graph, product_graph, rooted_ball
 from soficlab.almost_auto import (
     ImprovementConfig,
     ImprovementWorkspace,
@@ -21,6 +21,7 @@ from soficlab.almost_auto import (
 )
 from soficlab.errors import LengthMismatch, NotBijective
 from soficlab.expansion import cheeger_exact
+from soficlab.sofic import random_permutation_model
 from soficlab import groups
 
 from conftest import cycle_graph, random_simple_graph
@@ -45,25 +46,32 @@ def slow_bad_edges(g, images):
     return total
 
 
+def graph_boundary_oracle(g, c):
+    """Boundary of graph(c) measured by core_graph.boundary on a fresh product graph."""
+    return boundary(product_graph(g, g), graph_of_map(g, c))[0]
+
+
 def test_identity_has_no_bad_edges():
     g = cycle_graph(6)
     rep = defect_of_map(g, VertexMap.identity(6))
-    assert rep.bad_edges == 0 and rep.epsilon == 0.0 and rep.boundary_of_graph == 0
+    assert rep.bad_edges == 0 and rep.epsilon == 0.0
+    assert graph_boundary_oracle(g, VertexMap.identity(6)) == 0
 
 
 def test_c6_swap_defect():
     g = cycle_graph(6)
-    rep = defect_of_map(g, VertexMap([1, 0, 2, 3, 4, 5]))
+    c = VertexMap([1, 0, 2, 3, 4, 5])
+    rep = defect_of_map(g, c)
     assert rep.bad_edges == 3
     assert rep.epsilon == 0.5
-    assert rep.boundary_of_graph == 6
+    assert graph_boundary_oracle(g, c) == 6
 
 
 def test_right_translation_is_automorphism():
     table, gens = groups.preset_group("s3")
     g = cayley_graph(table, gens)
     for elem in range(6):
-        rep = defect_of_map(g, VertexMap(table[:, elem]), compute_boundary=False)
+        rep = defect_of_map(g, VertexMap(table[:, elem]))
         assert rep.bad_edges == 0
 
 
@@ -89,7 +97,7 @@ def test_boundary_correspondence_random_corpus(rng):
         c = VertexMap(rng.permutation(n))
         rep = defect_of_map(g, c)
         assert rep.bad_edges == slow_bad_edges(g, c.images)
-        assert rep.boundary_of_graph == 2 * rep.bad_edges
+        assert graph_boundary_oracle(g, c) == 2 * rep.bad_edges
 
 
 def test_epsilon_characterization(rng):
@@ -98,7 +106,7 @@ def test_epsilon_characterization(rng):
         g = random_simple_graph(rng, n)
         c = VertexMap(rng.permutation(n))
         rep = defect_of_map(g, c)
-        bnd = boundary(product_graph(g, g), graph_of_map(g, c))[0]
+        bnd = graph_boundary_oracle(g, c)
         for eps in (0.0, 0.1, rep.epsilon, 0.5, 1.0):
             assert (rep.epsilon <= eps) == (bnd <= 2 * eps * n)
 
@@ -119,9 +127,9 @@ def test_compose_defect_subadditive(rng):
         g = random_simple_graph(rng, n)
         c1 = VertexMap(rng.permutation(n))
         c2 = VertexMap(rng.permutation(n))
-        b1 = defect_of_map(g, c1, compute_boundary=False).bad_edges
-        b2 = defect_of_map(g, c2, compute_boundary=False).bad_edges
-        b12 = defect_of_map(g, compose(c1, c2), compute_boundary=False).bad_edges
+        b1 = defect_of_map(g, c1).bad_edges
+        b2 = defect_of_map(g, c2).bad_edges
+        b12 = defect_of_map(g, compose(c1, c2)).bad_edges
         assert b12 <= b1 + b2
 
 
@@ -164,12 +172,48 @@ def test_improve_never_worsens(rng):
     for _ in range(25):
         c = VertexMap(rng.permutation(10))
         c2, trace = improve(g, c, cfg, workspace=ws)
-        initial = defect_of_map(g, c, compute_boundary=False).bad_edges
-        final = defect_of_map(g, c2, compute_boundary=False).bad_edges
+        initial = defect_of_map(g, c).bad_edges
+        final = defect_of_map(g, c2).bad_edges
         assert final <= initial
         assert trace.final.bad_edges == final
         if trace.reverted:
             assert c2 == c
+
+
+@pytest.mark.filterwarnings("ignore:graph of the map misses the good set")
+def test_improve_reports_oracle_boundary_on_non_simple_graphs(rng):
+    # loops and parallel edges break |bd(graph(c))| = 2*bad, so the reported
+    # boundary must be the measured one, not derived from the bad-edge count
+    swap = np.array([1, 0, 2, 3, 5, 4, 6, 7])  # self-inverse, fixed points 2, 3, 6, 7
+    step = np.roll(np.arange(8), -1)
+    fixed = make_labeled_graph(8, GeneratorSet.from_pairs([("t", "t"), ("a", "A")]), [swap, step, np.argsort(step)])
+    graphs = [random_permutation_model(int(rng.integers(3, 12)), 2, seed=s) for s in range(8)] + [fixed]
+    assert not all(is_simple(g) for g in graphs)
+    differs = 0
+    for g in graphs:
+        for c in (VertexMap(rng.permutation(g.n)), VertexMap.identity(g.n)):
+            improved, trace = improve(g, c, ImprovementConfig(alpha=0.3))
+            assert trace.initial.boundary_of_graph == graph_boundary_oracle(g, c)
+            assert trace.final.boundary_of_graph == graph_boundary_oracle(g, improved)
+            differs += trace.initial.boundary_of_graph != 2 * trace.initial.bad_edges
+    assert differs > 0
+
+
+def test_product_graph_built_once_per_workspace(monkeypatch):
+    calls = []
+
+    def counting(g, h):
+        calls.append(g.n)
+        return product_graph(g, h)
+
+    monkeypatch.setattr("soficlab.almost_auto.product_graph", counting)
+    g = cycle_graph(10)
+    cfg = ImprovementConfig()
+    ws = ImprovementWorkspace(g, cfg)
+    rng = np.random.default_rng(5)
+    for _ in range(4):
+        improve(g, VertexMap(rng.permutation(10)), cfg, workspace=ws)
+    assert calls == [10]
 
 
 @pytest.mark.filterwarnings("ignore:graph of the map misses the good set")

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from soficlab import GeneratorSet, cayley_graph, make_labeled_graph
 from soficlab.almost_auto import ImprovementConfig, VertexMap, defect_of_map, label_automorphisms
 from soficlab.clusters import (
+    _Closure,
+    _locate,
     cluster_group,
     cluster_maps,
     dichotomy_check,
@@ -18,6 +20,7 @@ from soficlab.clusters import (
 from soficlab.errors import (
     CollisionFailure,
     DefectTooLarge,
+    HypothesisViolation,
     LengthMismatch,
     NonPositiveCheeger,
     NotBijective,
@@ -34,7 +37,7 @@ def brute_force_automorphisms(g):
     out = []
     for images in permutations(range(g.n)):
         c = VertexMap(images)
-        if defect_of_map(g, c, compute_boundary=False).bad_edges == 0:
+        if defect_of_map(g, c).bad_edges == 0:
             out.append(c)
     return out
 
@@ -130,6 +133,43 @@ def test_cluster_maps_validates_preconditions():
         cluster_maps(g, 0.0, [VertexMap([1, 0, 2, 3, 4, 5])])
 
 
+def test_locate_finds_the_single_close_representative():
+    reps = np.stack([np.arange(10), np.roll(np.arange(10), 1)])
+    near = np.arange(10)
+    near[[0, 1]] = near[[1, 0]]
+    assert _locate(reps, VertexMap(near)) == 0
+    assert _locate(reps, VertexMap(np.roll(np.arange(10), 5))) is None
+    assert _locate(reps[:0], VertexMap.identity(10)) is None
+
+
+def test_locate_rejects_two_close_representatives():
+    near = np.arange(10)
+    near[[0, 1]] = near[[1, 0]]
+    reps = np.stack([np.arange(10), near])
+    expected = r"representatives 0 and 1 \(distances 0 and 2; n = 10, n/5 = 2, 4n/5 = 8\)"
+    with pytest.raises(HypothesisViolation, match=expected):
+        _locate(reps, VertexMap.identity(10))
+
+
+def test_locate_rejects_forbidden_band():
+    mid = np.arange(10)
+    mid[[0, 1, 2, 3]] = mid[[1, 0, 3, 2]]  # distance 4, inside (2, 8]
+    reps = np.stack([np.roll(np.arange(10), 5), np.arange(10)])
+    expected = r"distance 4 to representative 1 falls in \(n/5, 4n/5\] \(n = 10, n/5 = 2, 4n/5 = 8\)"
+    with pytest.raises(HypothesisViolation, match=expected):
+        _locate(reps, VertexMap(mid))
+
+
+def test_closure_rejects_improvement_that_moves_too_far():
+    g = cycle_graph(20)
+    c = np.roll(np.arange(20), -3)
+    c[:6] = c[:6][::-1]  # improve restores the translation, moving 6 > n/5 points
+    closure = _Closure(g, 0.0, ImprovementConfig(), bound=10)
+    expected = r"moved a composition by distance 6 > n/5 \(n = 20, n/5 = 4, 4n/5 = 16\)"
+    with pytest.raises(HypothesisViolation, match=expected):
+        closure.improved(VertexMap(c))
+
+
 def test_cluster_group_z5_is_cyclic():
     g = cycle_graph(5)
     cg = cluster_group(g, 0.0, label_automorphisms(g), ImprovementConfig())
@@ -169,7 +209,7 @@ def test_cluster_group_table_invariants():
                 assert cg.table[cg.table[a, b], c] == cg.table[a, cg.table[b, c]]
     # representatives satisfy the stored defect bound
     for cl in cg.clusters:
-        assert defect_of_map(g, cl.representative, compute_boundary=False).bad_edges <= cl.delta * g.n
+        assert defect_of_map(g, cl.representative).bad_edges <= cl.delta * g.n
 
 
 def test_cluster_group_deterministic():

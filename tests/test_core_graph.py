@@ -1,3 +1,5 @@
+import subprocess
+import sys
 from itertools import permutations
 
 import numpy as np
@@ -29,8 +31,9 @@ from soficlab.errors import (
     UnknownSymbol,
 )
 from soficlab import groups
+from soficlab.sofic import random_permutation_model
 
-from conftest import cycle_graph, random_simple_graph, two_cycles
+from conftest import conjugate_graph, cycle_graph, random_simple_graph, two_cycles
 
 
 def test_make_cycle_graph():
@@ -266,6 +269,49 @@ def test_inverse_pair_actions_compose_to_identity(rng):
 def test_connectivity_flags():
     assert is_connected(cycle_graph(9))
     assert not is_connected(two_cycles(5))
+
+
+def bfs_components(g):
+    """Oracle: plain BFS, components numbered by their smallest vertex."""
+    labels = [-1] * g.n
+    count = 0
+    for start in range(g.n):
+        if labels[start] >= 0:
+            continue
+        labels[start] = count
+        queue = [start]
+        for x in queue:
+            for p in g.actions:
+                y = int(p[x])
+                if labels[y] < 0:
+                    labels[y] = count
+                    queue.append(y)
+        count += 1
+    return count, labels
+
+
+def test_connected_components_match_bfs(rng):
+    long_cycle = cycle_graph(3000)
+    graphs = [
+        conjugate_graph(long_cycle, rng.permutation(3000)),
+        conjugate_graph(two_cycles(700), rng.permutation(1400)),
+        random_permutation_model(2000, 1, seed=3),  # many small cycles
+        make_labeled_graph(7, GeneratorSet((), ()), []),  # no generators
+        make_labeled_graph(0, GeneratorSet.from_pairs([("a", "A")]), [[], []]),
+        make_labeled_graph(1, GeneratorSet.from_pairs([("a", "A")]), [[0], [0]]),
+    ]
+    for g in graphs:
+        count, labels = connected_components(g)
+        expected_count, expected_labels = bfs_components(g)
+        assert count == expected_count
+        assert labels.tolist() == expected_labels
+    assert connected_components(graphs[2])[0] > 1
+
+
+def test_import_does_not_load_scipy():
+    code = "import sys, soficlab; print('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"
 
 
 def test_serialize_round_trip_byte_identical():
