@@ -7,8 +7,10 @@ for simple graphs its edge boundary is exactly twice the number of bad edges,
 and shrinking that boundary is what the improvement pipeline does: smooth the
 indicator of the graph with the averaging operator, take the best sweep cut
 near the original set, then repair the result to the graph of a bijection.
-The product graph is built once per :class:`ImprovementWorkspace`, and every
-product-graph quantity, the reported boundary included, is read from there.
+The product graph is never built: ``expansion.average`` and
+``expansion.prefix_boundary_counts`` act on ``(n, n)`` arrays, cell ``[x, y]``
+being the product vertex ``(x, y)``, and :func:`defect_of_map` has the
+boundary of the graph in closed form.
 """
 
 from __future__ import annotations
@@ -18,18 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_graph import (
-    LabeledGraph,
-    RootedBall,
-    VertexSet,
-    edge_slots,
-    good_vertices,
-    is_connected,
-    product_graph,
-    rooted_ball,
-)
+from .core_graph import LabeledGraph, RootedBall, VertexSet, good_vertices, is_connected, rooted_ball
 from .errors import LengthMismatch, NotBijective
-from .expansion import descending_order, lambda2, prefix_boundary_counts
+from .expansion import average, descending_order, lambda2, prefix_boundary_counts
 
 REPAIR_RESCORING_LIMIT = 512
 
@@ -81,28 +74,12 @@ def invert(c: VertexMap) -> VertexMap:
 
 @dataclass
 class DefectReport:
-    """Bad-edge count of a map; :func:`improve` also fills in the
-    product-graph boundary of its graph (None elsewhere)."""
+    """Bad edges of a map, ``epsilon = bad_edges / n`` and the boundary of its
+    graph in the product graph (``2 * bad_edges`` on simple graphs only)."""
 
     bad_edges: int
     epsilon: float
-    boundary_of_graph: int | None = None
-
-
-def _bad_edge_count(g: LabeledGraph, images: np.ndarray) -> int:
-    ident = np.arange(g.n)
-    total = 0
-    for i in g.gens.pair_representatives():
-        p = g.actions[i]
-        bad = images[p] != p[images]
-        if g.gens.inverse[i] == i:
-            nonfixed = p != ident
-            # non-loop edges are seen from both endpoints; loops once
-            total += int(np.count_nonzero(bad & nonfixed)) // 2
-            total += int(np.count_nonzero(bad & ~nonfixed))
-        else:
-            total += int(np.count_nonzero(bad))
-    return total
+    boundary_of_graph: int
 
 
 def graph_of_map(g: LabeledGraph, c: VertexMap) -> VertexSet:
@@ -115,12 +92,24 @@ def graph_of_map(g: LabeledGraph, c: VertexMap) -> VertexSet:
 
 
 def defect_of_map(g: LabeledGraph, c: VertexMap) -> DefectReport:
-    """Count bad edges of ``c``.  The boundary of its graph is left None;
-    ``core_graph.boundary`` over the product graph measures it independently."""
+    """Bad edges of ``c`` and the boundary of its graph, in O(k n).
+
+    The ``s``-neighbour of ``(x, c(x))`` leaves the graph exactly when
+    ``c(s.x) != s.c(x)``, so the boundary counts these mismatches over all
+    symbols.  A bad edge is two mismatches (under ``s`` and its inverse, or
+    from both ends), except a bad loop of a self-inverse symbol: one.
+    """
     if c.n != g.n:
         raise LengthMismatch(f"map on {c.n} vertices, graph has {g.n}")
-    bad = _bad_edge_count(g, c.images)
-    return DefectReport(bad_edges=bad, epsilon=bad / g.n if g.n else 0.0)
+    images = c.images
+    mismatch = images[g.actions] != g.actions[:, images]
+    boundary_of_graph = int(np.count_nonzero(mismatch))
+    bad_loops = 0
+    for i, j in enumerate(g.gens.inverse):
+        if i == j:
+            bad_loops += int(np.count_nonzero(mismatch[i] & (g.actions[i] == np.arange(g.n))))
+    bad = (boundary_of_graph + bad_loops) // 2
+    return DefectReport(bad_edges=bad, epsilon=bad / g.n if g.n else 0.0, boundary_of_graph=boundary_of_graph)
 
 
 @dataclass
@@ -185,33 +174,21 @@ class ImprovementTrace:
 
 
 class ImprovementWorkspace:
-    """Precomputed product graph, good set and effective alpha for one
-    (graph, config) pair; reusable across many improve() calls.  The only
-    place the product graph is built: its actions drive the smoothing, its
-    edge slots the sweep and :meth:`graph_boundary`."""
+    """Good set and effective alpha for one (graph, config) pair; reusable
+    across many improve() calls.  It holds O(n) memory: the product graph
+    is never materialised."""
 
-    __slots__ = ("graph", "cfg", "reference", "good", "l_mask", "product", "edges_u", "edges_v", "alpha")
+    __slots__ = ("good", "alpha")
 
     def __init__(self, g: LabeledGraph, cfg: ImprovementConfig):
-        self.graph = g
-        self.cfg = cfg
-        self.reference = cfg.reference_ball if cfg.reference_ball is not None else rooted_ball(g, 0, cfg.radius)
-        self.good = good_vertices(g, self.reference)
-        self.l_mask = np.outer(self.good.mask, self.good.mask).ravel()
-        self.product = product_graph(g, g)
-        u, v, _ = edge_slots(self.product)
-        self.edges_u = u
-        self.edges_v = v
+        reference = cfg.reference_ball if cfg.reference_ball is not None else rooted_ball(g, 0, cfg.radius)
+        self.good = good_vertices(g, reference)
         if cfg.alpha is not None:
             self.alpha = cfg.alpha
         else:
             sd = lambda2(g, tol=1e-10, max_iter=10000, seed=0)
             lower = len(g.gens) * (1.0 - sd.lambda2) / 2.0 if sd.converged else 0.0
             self.alpha = max(lower / 4.0, 1e-9)
-
-    def graph_boundary(self, graph_mask: np.ndarray) -> int:
-        """Product-graph edge slots with exactly one endpoint in ``graph_mask``."""
-        return int(np.count_nonzero(graph_mask[self.edges_u] != graph_mask[self.edges_v]))
 
 
 def _keep_best_per_fiber(pair_idx: np.ndarray, fiber: np.ndarray, value: np.ndarray) -> np.ndarray:
@@ -274,30 +251,30 @@ def improve(
     ws = workspace if workspace is not None else ImprovementWorkspace(g, cfg)
     n = g.n
     big_n = n * n
-    b_mask = graph_of_map(g, c).mask
     initial = defect_of_map(g, c)
-    initial.boundary_of_graph = ws.graph_boundary(b_mask)
-    t_mask = b_mask & ws.l_mask
+    # T: the cells (x, c(x)) of the graph of c with both coordinates good
+    t_rows = np.flatnonzero(ws.good.mask & ws.good.mask[c.images])
     good_set_degraded = False
-    if not t_mask.any():
+    if t_rows.size == 0:
         good_set_degraded = True
         if ws.good.cardinality == 0:
             warnings.warn("good vertex set is empty; improving over the full graph of the map")
         else:
             warnings.warn("graph of the map misses the good set; improving over the full graph")
-        t_mask = b_mask.copy()
-    t_size = int(t_mask.sum())
+        t_rows = np.arange(n)
+    t_size = int(t_rows.size)
+    t_mask = np.zeros(big_n, dtype=bool)
+    t_mask[t_rows * n + c.images[t_rows]] = True
 
-    chi = t_mask.astype(np.float64)
-    smoothed = chi
-    first_step = smoothed[ws.product.actions].mean(axis=0)
-    smoothing_gap = float(((chi - first_step) ** 2).sum())
-    smoothed = first_step
+    chi = t_mask.reshape(n, n)
+    smoothed = average(g, chi.astype(np.float64))
+    smoothing_gap = float(((chi - smoothed) ** 2).sum())
     for _ in range(cfg.smoothing_steps - 1):
-        smoothed = smoothed[ws.product.actions].mean(axis=0)
+        smoothed = average(g, smoothed)
+    smoothed = smoothed.ravel()
 
     order = descending_order(smoothed)
-    counts = prefix_boundary_counts(ws.edges_u, ws.edges_v, order)  # prefix sizes 1..big_n-1
+    counts = prefix_boundary_counts(g, order, (n, n))  # prefix sizes 1..big_n-1
     sizes = np.arange(1, big_n, dtype=np.int64)
     cum_t = np.cumsum(t_mask[order])[: big_n - 1]
     delta_t = t_size + sizes - 2 * cum_t
@@ -342,7 +319,6 @@ def improve(
     else:
         reverted = False
         result, final = candidate, cand_report
-        final.boundary_of_graph = ws.graph_boundary(graph_of_map(g, candidate).mask)
     hamming_moved = int(np.count_nonzero(result.images != c.images))
     trace = ImprovementTrace(
         t_size=t_size,

@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import (
     GeneratorSetMismatch,
+    InvalidGraphFile,
     InvalidTable,
     InversePairMismatch,
     LengthMismatch,
@@ -163,7 +164,6 @@ def make_labeled_graph(n: int, gens: GeneratorSet, actions) -> LabeledGraph:
     if len(actions) != len(gens):
         raise LengthMismatch(f"expected {len(gens)} permutations, got {len(actions)}")
     arr = np.empty((len(gens), n), dtype=np.int64)
-    ident = np.arange(n)
     for i, perm in enumerate(actions):
         p = np.asarray(perm, dtype=np.int64)
         if p.shape != (n,):
@@ -174,7 +174,7 @@ def make_labeled_graph(n: int, gens: GeneratorSet, actions) -> LabeledGraph:
             raise NotAPermutation(f"action of {gens.symbols[i]!r} is not a permutation")
         arr[i] = p
     for i, j in enumerate(gens.inverse):
-        if i <= j and not np.array_equal(arr[j][arr[i]], ident):
+        if i <= j and not np.array_equal(arr[j][arr[i]], np.arange(n)):
             raise InversePairMismatch(
                 f"action of {gens.symbols[j]!r} is not the inverse of {gens.symbols[i]!r}"
             )
@@ -488,14 +488,50 @@ def serialize_graph(g: LabeledGraph) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+def _is_perm_list(perm, n: int) -> bool:
+    """A JSON list of ``n`` integers in ``0..n-1`` (JSON booleans excluded)."""
+    return (
+        isinstance(perm, list)
+        and len(perm) == n
+        and set(map(type, perm)) <= {int}
+        and (n == 0 or (min(perm) >= 0 and max(perm) < n))
+    )
+
+
 def parse_graph(text: str) -> LabeledGraph:
-    doc = json.loads(text)
+    """Inverse of :func:`serialize_graph`.
+
+    A document that is not a graph object of the current format raises
+    :class:`InvalidGraphFile`; one that is well formed but not a labeled graph
+    raises the error of :func:`make_labeled_graph`.
+    """
+    try:
+        doc = json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise InvalidGraphFile(f"graph file is not JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise InvalidGraphFile("graph file must hold a JSON object")
     if doc.get("format_version") != GRAPH_FORMAT_VERSION:
-        raise ValueError(f"unsupported format_version {doc.get('format_version')!r}")
-    n = doc["n"]
-    gen_docs = doc["generators"]
-    gens = GeneratorSet.from_pairs([(d["name"], d["inverse"]) for d in gen_docs])
+        raise InvalidGraphFile(f"unsupported format_version {doc.get('format_version')!r}")
+    n = doc.get("n")
+    if type(n) is not int or not 0 <= n <= np.iinfo(np.intp).max // 8:  # one int64 row per symbol
+        raise InvalidGraphFile(f'"n" must be a non-negative integer of addressable size, got {n!r}')
+    gen_docs = doc.get("generators")
+    if not isinstance(gen_docs, list) or not all(isinstance(d, dict) for d in gen_docs):
+        raise InvalidGraphFile('"generators" must be a list of objects')
+    for d in gen_docs:
+        if not isinstance(d.get("name"), str) or not isinstance(d.get("inverse"), str):
+            raise InvalidGraphFile('every generator needs a string "name" and "inverse"')
+        if not _is_perm_list(d.get("perm"), n):
+            raise InvalidGraphFile(f'"perm" of {d["name"]!r} must list n integers in 0..n-1')
     perm_by_name = {d["name"]: d["perm"] for d in gen_docs}
     if len(perm_by_name) != len(gen_docs):
-        raise ValueError("duplicate generator names")
+        raise InvalidGraphFile("duplicate generator names")
+    unlisted = sorted({d["inverse"] for d in gen_docs} - perm_by_name.keys())
+    if unlisted:
+        raise InvalidGraphFile(f"inverse symbols {unlisted} have no generator entry")
+    try:
+        gens = GeneratorSet.from_pairs([(d["name"], d["inverse"]) for d in gen_docs])
+    except ValueError as exc:
+        raise InvalidGraphFile(str(exc)) from None
     return make_labeled_graph(n, gens, [perm_by_name[s] for s in gens.symbols])

@@ -9,6 +9,10 @@ class SoficlabError(Exception):
     """Base class for all structured errors raised by this package."""
 
 
+class InvalidGraphFile(SoficlabError, ValueError):
+    """A graph file that is not a well-formed graph document."""
+
+
 class NotAPermutation(SoficlabError):
     pass
 

@@ -145,8 +145,18 @@ def cheeger_exact(g: LabeledGraph, exhaustive_limit: int = EXHAUSTIVE_LIMIT) -> 
     return CheegerEstimate(kind="exact", witness=witness, value=best)
 
 
-def _apply_averaging(actions: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    return vec[actions].mean(axis=0)
+def average(g: LabeledGraph, x: np.ndarray) -> np.ndarray:
+    """The averaging operator ``(M x)[v] = mean_s x[s.v]`` on ``g`` (``x`` of
+    shape ``(n,)``) or on ``g x g`` (shape ``(n, n)``, cell ``[x, y]`` is the
+    product vertex ``(x, y)``, and ``s`` acts along both axes)."""
+    actions = g.actions
+    moved = x.take(actions, axis=0)  # moved[s] = x with s acting along axis 0
+    if x.ndim == 1:
+        return moved.mean(axis=0)
+    total = moved[0].take(actions[0], axis=1)
+    for s in range(1, len(actions)):
+        total += moved[s].take(actions[s], axis=1)
+    return total / len(actions)
 
 
 def lambda2(g: LabeledGraph, tol: float = 1e-10, max_iter: int = 10000, seed: int = 0) -> SpectralData:
@@ -171,7 +181,7 @@ def lambda2(g: LabeledGraph, tol: float = 1e-10, max_iter: int = 10000, seed: in
     iterations = 0
     converged = False
     for iterations in range(1, max_iter + 1):
-        w = 0.5 * (v + _apply_averaging(g.actions, v))
+        w = 0.5 * (v + average(g, v))
         w -= w.mean()
         rho = float(v @ w)
         lam = 2.0 * rho - 1.0
@@ -184,20 +194,30 @@ def lambda2(g: LabeledGraph, tol: float = 1e-10, max_iter: int = 10000, seed: in
             converged = True
             break
         prev = lam
-    residual = float(np.linalg.norm(_apply_averaging(g.actions, v) - lam * v))
+    residual = float(np.linalg.norm(average(g, v) - lam * v))
     return SpectralData(lam, iterations, residual, converged, v)
 
 
-def prefix_boundary_counts(u: np.ndarray, v: np.ndarray, order: np.ndarray) -> np.ndarray:
-    """|bd(prefix_k)| for k = 1..n-1 along the given vertex order, counted
-    over the edge-slot endpoint arrays ``u`` and ``v`` (see ``edge_slots``)."""
-    n = order.size
-    rank = np.empty(n, dtype=np.int64)
-    rank[order] = np.arange(n)
-    r1 = np.minimum(rank[u], rank[v])
-    r2 = np.maximum(rank[u], rank[v])
-    diff = np.bincount(r1 + 1, minlength=n + 1) - np.bincount(r2 + 1, minlength=n + 1)
-    return np.cumsum(diff)[1:n]
+def prefix_boundary_counts(g: LabeledGraph, order: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """|bd(prefix_j)| for j = 1..N-1 along ``order``, a permutation of the N
+    cells of ``shape``: ``(n,)`` for ``g``, ``(n, n)`` for ``g x g`` as in
+    :func:`average`.  Each pair representative acts on the rank array along
+    every axis; a loop adds and removes the same bin, and a self-inverse
+    symbol meets each edge from both ends, so its counts are halved."""
+    size = order.size
+    rank = np.empty(size, dtype=np.int64)
+    rank[order] = np.arange(size)
+    rank = rank.reshape(shape)
+    diff = np.zeros(size, dtype=np.int64)
+    for i in g.gens.pair_representatives():
+        moved = rank
+        for axis in range(rank.ndim):
+            moved = moved.take(g.actions[i], axis=axis)
+        # the edge {v, s.v} crosses the prefixes of sizes min(rank)+1 .. max(rank)
+        step = np.bincount(np.minimum(rank, moved).ravel(), minlength=size)
+        step -= np.bincount(np.maximum(rank, moved, out=moved).ravel(), minlength=size)
+        diff += step // 2 if g.gens.inverse[i] == i else step
+    return np.cumsum(diff)[: size - 1]
 
 
 def descending_order(vec: np.ndarray) -> np.ndarray:
@@ -213,8 +233,7 @@ def sweep_cut(g: LabeledGraph, vec) -> tuple[VertexSet, float]:
     if np.all(vec == vec[0]):
         raise DegenerateVector("sweep vector is constant")
     order = descending_order(vec)
-    u, v, _ = edge_slots(g)
-    counts = prefix_boundary_counts(u, v, order)
+    counts = prefix_boundary_counts(g, order, vec.shape)
     half = g.n // 2
     ratios = counts[:half] / np.arange(1, half + 1)
     k = int(np.argmin(ratios)) + 1  # first minimum: smallest prefix wins ties

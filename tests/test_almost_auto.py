@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from itertools import permutations
 
@@ -89,15 +90,16 @@ def test_graph_of_map_single_vertex():
 
 
 def test_boundary_correspondence_random_corpus(rng):
-    # |bd(graph of c)| = 2 * bad(c) on simple graphs, and the production
-    # bad-edge counter agrees with the loop-based one
+    # |bd(graph of c)| = 2 * bad(c) on simple graphs, the production
+    # bad-edge counter agrees with the loop-based one, and the closed-form
+    # boundary agrees with the product-graph measurement, bijective or not
     for _ in range(60):
         n = int(rng.integers(6, 50))
         g = random_simple_graph(rng, n)
-        c = VertexMap(rng.permutation(n))
-        rep = defect_of_map(g, c)
-        assert rep.bad_edges == slow_bad_edges(g, c.images)
-        assert graph_boundary_oracle(g, c) == 2 * rep.bad_edges
+        for c in (VertexMap(rng.permutation(n)), VertexMap(rng.integers(0, n, n))):
+            rep = defect_of_map(g, c)
+            assert rep.bad_edges == slow_bad_edges(g, c.images)
+            assert rep.boundary_of_graph == graph_boundary_oracle(g, c) == 2 * rep.bad_edges
 
 
 def test_epsilon_characterization(rng):
@@ -187,7 +189,9 @@ def test_improve_reports_oracle_boundary_on_non_simple_graphs(rng):
     swap = np.array([1, 0, 2, 3, 5, 4, 6, 7])  # self-inverse, fixed points 2, 3, 6, 7
     step = np.roll(np.arange(8), -1)
     fixed = make_labeled_graph(8, GeneratorSet.from_pairs([("t", "t"), ("a", "A")]), [swap, step, np.argsort(step)])
-    graphs = [random_permutation_model(int(rng.integers(3, 12)), 2, seed=s) for s in range(8)] + [fixed]
+    looped = np.array([0, 2, 1, 3, 5, 6, 4, 7])  # proper pair: loops at 0, 3, 7 and a 2-cycle
+    loops = make_labeled_graph(8, GeneratorSet.from_pairs([("b", "B"), ("t", "t")]), [looped, np.argsort(looped), swap])
+    graphs = [random_permutation_model(int(rng.integers(3, 12)), 2, seed=s) for s in range(8)] + [fixed, loops]
     assert not all(is_simple(g) for g in graphs)
     differs = 0
     for g in graphs:
@@ -196,24 +200,40 @@ def test_improve_reports_oracle_boundary_on_non_simple_graphs(rng):
             assert trace.initial.boundary_of_graph == graph_boundary_oracle(g, c)
             assert trace.final.boundary_of_graph == graph_boundary_oracle(g, improved)
             differs += trace.initial.boundary_of_graph != 2 * trace.initial.bad_edges
+        for _ in range(5):
+            c = VertexMap(rng.integers(0, g.n, g.n))
+            rep = defect_of_map(g, c)
+            assert rep.bad_edges == slow_bad_edges(g, c.images)
+            assert rep.boundary_of_graph == graph_boundary_oracle(g, c)
+            differs += rep.boundary_of_graph != 2 * rep.bad_edges
     assert differs > 0
 
 
-def test_product_graph_built_once_per_workspace(monkeypatch):
-    calls = []
-
-    def counting(g, h):
-        calls.append(g.n)
-        return product_graph(g, h)
-
-    monkeypatch.setattr("soficlab.almost_auto.product_graph", counting)
-    g = cycle_graph(10)
+@pytest.mark.filterwarnings("ignore:graph of the map misses the good set")
+def test_improve_memory_budget():
+    # the product graph is never materialised: with N = n^2 product
+    # vertices, the workspace holds O(n) and one improve call a few (n, n)
+    # float arrays at a time
+    n = 300
+    big_n = n * n
+    g = random_permutation_model(n, 2, seed=0)
     cfg = ImprovementConfig()
-    ws = ImprovementWorkspace(g, cfg)
     rng = np.random.default_rng(5)
-    for _ in range(4):
-        improve(g, VertexMap(rng.permutation(10)), cfg, workspace=ws)
-    assert calls == [10]
+    corrupted = np.arange(n)
+    moved = rng.choice(n, 30, replace=False)
+    corrupted[moved] = corrupted[np.roll(moved, 1)]
+    tracemalloc.start()
+    try:
+        ws = ImprovementWorkspace(g, cfg)
+        _, workspace_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        before, _ = tracemalloc.get_traced_memory()
+        improve(g, VertexMap(corrupted), cfg, workspace=ws)
+        _, improve_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert workspace_peak < 8 * big_n
+    assert improve_peak - before < 16 * 8 * big_n
 
 
 @pytest.mark.filterwarnings("ignore:graph of the map misses the good set")

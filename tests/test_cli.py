@@ -165,6 +165,26 @@ def test_missing_input_is_a_domain_error(tmp_path, capsys):
     assert "error" in json.loads(capsys.readouterr().out)
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[1]",
+        '{"format_version": 1, "n": "3", "generators": []}',
+        '{"format_version": 1, "n": 3, "generators": 5}',
+        '{"format_version": 1, "n": 2, "generators": [{"name": "a", "perm": [1, 0]}]}',
+        "not json",
+    ],
+)
+def test_malformed_graph_file_is_a_domain_error(tmp_path, capsys, text):
+    path = tmp_path / "g.json"
+    path.write_text(text)
+    for argv in (["report", str(path)], ["cheeger", str(path), "-o", str(tmp_path / "c.json")]):
+        assert run(argv) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["error"]["type"] == "InvalidGraphFile"
+    assert not (tmp_path / "c.json").exists()
+
+
 def test_manifest_replay_byte_identical(tmp_path):
     g = tmp_path / "g.json"
     run(["gen", "cayley", "--group", "z6", "--gens", "1,5", "-o", str(g)])

@@ -1,12 +1,16 @@
+import json
 import subprocess
 import sys
 from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from soficlab import (
     GeneratorSet,
+    LabeledGraph,
     VertexSet,
     boundary,
     cayley_graph,
@@ -25,9 +29,11 @@ from soficlab.core_graph import connected_components, loop_count, subset_of_gene
 from soficlab.errors import (
     GeneratorSetMismatch,
     InversePairMismatch,
+    InvalidGraphFile,
     InvalidTable,
     NotAPermutation,
     NotInverseClosed,
+    SoficlabError,
     UnknownSymbol,
 )
 from soficlab import groups
@@ -326,6 +332,66 @@ def test_serialize_round_trip_byte_identical():
 def test_parse_rejects_bad_version():
     with pytest.raises(ValueError):
         parse_graph('{"format_version": 99, "n": 1, "generators": []}')
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[1]",
+        "{",
+        '{"format_version": 1, "n": "3", "generators": []}',
+        '{"format_version": 1, "n": 3, "generators": 5}',
+        '{"format_version": 1, "n": 2, "generators": [{"name": "a", "perm": [1, 0]}]}',
+        '{"format_version": 1, "n": 2, "generators": [{"name": "a", "inverse": "A", "perm": [1, 0]}]}',
+        '{"format_version": 1, "n": 2, "generators": [{"name": "a", "inverse": "a", "perm": [1.0, 0]}]}',
+        '{"format_version": 1, "n": 2, "generators": [{"name": "a", "inverse": "a", "perm": [1]}]}',
+        '{"format_version": 1, "n": 4611686018427387904, "generators": []}',
+    ],
+)
+def test_parse_rejects_malformed_documents(text):
+    with pytest.raises(InvalidGraphFile):
+        parse_graph(text)
+
+
+_json_scalars = st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=3)
+_json_values = st.recursive(
+    _json_scalars,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+_small_ints = st.integers(min_value=-1, max_value=4)
+
+
+def _mostly(good, noise):
+    """Draw from ``good`` four times in five, else from ``noise``."""
+    return st.integers(min_value=0, max_value=4).flatmap(lambda i: noise if i == 0 else good)
+
+
+def _graph_docs(n):
+    """Documents close to a graph on n vertices: each field is mostly well
+    formed, perms are mostly permutations of range(n)."""
+    name = _mostly(st.sampled_from(["a", "A", "t"]), _json_scalars)
+    perm = _mostly(st.permutations(list(range(max(n, 0)))), st.lists(_small_ints, max_size=5) | _json_values)
+    generator = st.fixed_dictionaries({"name": name, "inverse": name, "perm": perm})
+    return st.fixed_dictionaries(
+        {
+            "format_version": _mostly(st.just(1), _json_scalars),
+            "n": _mostly(st.just(n), _json_scalars),
+            "generators": _mostly(st.lists(generator, max_size=3), _json_values),
+        }
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(_small_ints.flatmap(_graph_docs).map(json.dumps), _json_values.map(json.dumps), st.text(max_size=20)))
+def test_parse_graph_fuzz_gives_a_graph_or_a_structured_error(text):
+    try:
+        g = parse_graph(text)
+    except SoficlabError:
+        return
+    assert isinstance(g, LabeledGraph)
+    canonical = serialize_graph(g)
+    assert serialize_graph(parse_graph(canonical)) == canonical
 
 
 def test_vertex_set_semantics():

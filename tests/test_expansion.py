@@ -4,9 +4,10 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from soficlab import VertexSet, boundary, cayley_graph, make_labeled_graph
+from soficlab import GeneratorSet, VertexSet, boundary, cayley_graph, make_labeled_graph, product_graph
 from soficlab.errors import DegenerateVector, TooLargeForExhaustive
-from soficlab.expansion import cheeger_bounds, cheeger_exact, lambda2, sweep_cut
+from soficlab.expansion import average, cheeger_bounds, cheeger_exact, lambda2, prefix_boundary_counts, sweep_cut
+from soficlab.sofic import random_permutation_model
 from soficlab import groups
 
 from conftest import cycle_graph, random_connected_graph, random_simple_graph, two_cycles
@@ -179,3 +180,36 @@ def test_sweep_cut_invariants(rng):
         assert 1 <= s.cardinality <= n // 2
         b, _ = boundary(g, s)
         assert ratio == pytest.approx(b / s.cardinality)
+
+
+def small_non_simple_graphs():
+    """Loops and parallel edges of proper pairs, and a self-inverse symbol
+    with fixed points, where |bd| of the product graph is easy to get wrong."""
+    swap = np.array([1, 0, 2, 3, 5, 4, 6])  # self-inverse, fixed points 2, 3, 6
+    looped = np.array([0, 2, 1, 3, 5, 6, 4])  # loops at 0, 3 and a 2-cycle
+    mixed = make_labeled_graph(
+        7, GeneratorSet.from_pairs([("b", "B"), ("t", "t")]), [looped, np.argsort(looped), swap]
+    )
+    return [mixed] + [random_permutation_model(n, 2, seed=n) for n in (2, 4, 5, 6)]
+
+
+def test_prefix_boundary_counts_match_boundary_on_g_and_product(rng):
+    for g in small_non_simple_graphs():
+        n = g.n
+        order = rng.permutation(n)
+        expected = [boundary(g, VertexSet.from_indices(n, order[:j]))[0] for j in range(1, n)]
+        assert prefix_boundary_counts(g, order, (n,)).tolist() == expected
+        prod = product_graph(g, g)
+        order = rng.permutation(n * n)
+        expected = [boundary(prod, VertexSet.from_indices(n * n, order[:j]))[0] for j in range(1, n * n)]
+        assert prefix_boundary_counts(g, order, (n, n)).tolist() == expected
+
+
+def test_average_matches_gather_on_g_and_product(rng):
+    for g in small_non_simple_graphs():
+        n = g.n
+        v = rng.standard_normal(n)
+        assert np.array_equal(average(g, v), v[g.actions].mean(axis=0))
+        x = rng.standard_normal((n, n))
+        expected = x.ravel()[product_graph(g, g).actions].mean(axis=0)
+        assert np.array_equal(average(g, x).ravel(), expected)
