@@ -25,6 +25,11 @@ print(f"dichotomy at h0={h0:.3f}: {report.pairs_checked} pairs, {len(report.viol
 cg = cluster_group(g, 0.0, autos, ImprovementConfig())
 order, element_orders, abelian = group_invariants(cg)
 print(f"cluster group: order {order}, element orders {element_orders}, abelian: {abelian}")
+counters = cg.as_dict()["counters"]
+print(
+    f"closure: {counters['closure_rounds']} rounds, {counters['improve_requests']} improvements "
+    f"requested, {counters['improve_calls']} improve calls (one per distinct input)"
+)
 print("multiplication table:")
 print(cg.table)
 

@@ -17,7 +17,6 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
 
 from . import __version__, groups
 from .almost_auto import (
@@ -34,6 +33,7 @@ from .core_graph import (
     is_simple,
     loop_count,
     parse_graph,
+    parse_table,
     rooted_ball,
     serialize_graph,
 )
@@ -159,9 +159,7 @@ def _cmd_gen(args) -> tuple[list[tuple[Path, str]], dict]:
         if args.group is not None:
             table, default_gens = groups.preset_group(args.group)
         else:
-            doc = json.loads(args.table.read_text())
-            table = np.asarray(doc["table"], dtype=np.int64)
-            default_gens = doc.get("generators", [])
+            table, default_gens = parse_table(args.table.read_text())
         if args.gens:
             gen_indices = [int(tok) for tok in args.gens.split(",") if tok.strip() != ""]
         else:

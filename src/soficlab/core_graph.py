@@ -233,6 +233,9 @@ def cayley_graph(
         check_associativity = m <= 256
     _, inv = _check_table(table, check_associativity)
     gen_indices = list(gen_indices)
+    outside = [g for g in gen_indices if not 0 <= g < m]
+    if outside:
+        raise InvalidTable(f"generator elements {outside} outside 0..{m - 1}")
     if len(set(gen_indices)) != len(gen_indices):
         raise InvalidTable("duplicate generator elements")
     missing = [g for g in gen_indices if inv[g] not in gen_indices]
@@ -496,6 +499,27 @@ def _is_perm_list(perm, n: int) -> bool:
         and set(map(type, perm)) <= {int}
         and (n == 0 or (min(perm) >= 0 and max(perm) < n))
     )
+
+
+def parse_table(text: str) -> tuple[np.ndarray, list[int]]:
+    """Table file ``{"table": [[...], ...], "generators": [...]}``: a nonempty
+    square table whose rows list m integers in 0..m-1, and an optional list of
+    generator elements.  Anything else raises :class:`InvalidTable`; group
+    axioms and generator ranges are checked by :func:`cayley_graph`."""
+    try:
+        doc = json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise InvalidTable(f"table file is not JSON: {exc}") from None
+    if not isinstance(doc, dict) or "table" not in doc:
+        raise InvalidTable('table file must be a JSON object with a "table" entry')
+    rows = doc["table"]
+    m = len(rows) if isinstance(rows, list) else 0
+    if m == 0 or not all(_is_perm_list(r, m) for r in rows):
+        raise InvalidTable('"table" must be a nonempty square list of rows of integers in 0..m-1')
+    gens = doc.get("generators", [])
+    if not isinstance(gens, list) or not set(map(type, gens)) <= {int}:
+        raise InvalidTable('"generators" must be a list of integers')
+    return np.array(rows, dtype=np.int64), gens
 
 
 def parse_graph(text: str) -> LabeledGraph:

@@ -185,6 +185,28 @@ def test_malformed_graph_file_is_a_domain_error(tmp_path, capsys, text):
     assert not (tmp_path / "c.json").exists()
 
 
+@pytest.mark.parametrize(
+    "table_doc, gens",
+    [
+        ("[1]", None),
+        ('{"table": [[0]], "generators": "x"}', None),
+        ('{"table": [[0, 1], [1, 0]], "generators": [5]}', None),
+        (None, "9"),
+    ],
+)
+def test_malformed_table_input_is_a_domain_error(tmp_path, capsys, table_doc, gens):
+    out = tmp_path / "g.json"
+    if table_doc is None:
+        argv = ["gen", "cayley", "--group", "s3", "--gens", gens, "-o", str(out)]
+    else:
+        (tmp_path / "t.json").write_text(table_doc)
+        argv = ["gen", "cayley", "--table", str(tmp_path / "t.json"), "-o", str(out)]
+    assert run(argv) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["error"]["type"] == "InvalidTable"
+    assert not out.exists()
+
+
 def test_manifest_replay_byte_identical(tmp_path):
     g = tmp_path / "g.json"
     run(["gen", "cayley", "--group", "z6", "--gens", "1,5", "-o", str(g)])

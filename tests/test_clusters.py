@@ -1,3 +1,7 @@
+import hashlib
+import json
+import time
+from collections import Counter
 from itertools import permutations
 
 import numpy as np
@@ -7,7 +11,9 @@ from hypothesis import strategies as st
 
 from soficlab import GeneratorSet, cayley_graph, make_labeled_graph
 from soficlab.almost_auto import ImprovementConfig, VertexMap, defect_of_map, label_automorphisms
+from soficlab import clusters
 from soficlab.clusters import (
+    _check_associativity_inequality,
     _Closure,
     _locate,
     cluster_group,
@@ -18,6 +24,7 @@ from soficlab.clusters import (
     lef_certificate,
 )
 from soficlab.errors import (
+    ClosureFailure,
     CollisionFailure,
     DefectTooLarge,
     HypothesisViolation,
@@ -218,6 +225,135 @@ def test_cluster_group_deterministic():
     a = cluster_group(g, 0.0, seeds, ImprovementConfig()).as_dict()
     b = cluster_group(g, 0.0, seeds, ImprovementConfig()).as_dict()
     assert a == b
+
+
+def test_closure_does_not_cache_failed_improvements():
+    g = cycle_graph(20)
+    c = np.roll(np.arange(20), -3)
+    c[:6] = c[:6][::-1]
+    closure = _Closure(g, 0.0, ImprovementConfig(), bound=10)
+    for _ in range(2):
+        with pytest.raises(HypothesisViolation, match="moved a composition"):
+            closure.improved(VertexMap(c))
+    assert closure.memo == {}
+    assert (closure.requests, closure.calls) == (2, 2)
+
+
+def test_closure_bound_raises_closure_failure():
+    table, gens = groups.preset_group("s3")
+    g = cayley_graph(table, gens)
+    with pytest.raises(ClosureFailure, match="closure exceeded 2 clusters"):
+        cluster_group(g, 0.0, label_automorphisms(g), ImprovementConfig(), closure_bound=2)
+
+
+def _z2_on_ten_points():
+    """Representatives {id, x -> x+5 mod 10} and their exact product stack."""
+    reps = np.stack([np.arange(10), np.roll(np.arange(10), -5)])
+    products = np.stack([[reps[i][reps[j]] for j in range(2)] for i in range(2)])
+    return reps, products
+
+
+def test_associativity_inequality_passes_on_exact_products():
+    reps, products = _z2_on_ten_points()
+    _check_associativity_inequality(reps, products, lambda rows: rows)
+
+
+def test_associativity_inequality_names_the_first_failing_triple():
+    reps, products = _z2_on_ten_points()
+    products[0, 1] = reps[0]  # claims r0.r1 = r0: a(bc) and (ab)c differ everywhere for (0, 0, 1)
+    expected = (
+        r"associativity inequality fails on triple \(0, 0, 1\) "
+        r"\(distance 10 > 4n/5; n = 10, n/5 = 2, 4n/5 = 8\)"
+    )
+    with pytest.raises(HypothesisViolation, match=expected):
+        _check_associativity_inequality(reps, products, lambda rows: rows)
+
+
+def test_cluster_group_improves_each_distinct_input_once(monkeypatch):
+    calls = []
+    original = clusters.improve
+
+    def counting_improve(g, c, cfg, workspace=None):
+        calls.append(c.images.tobytes())
+        return original(g, c, cfg, workspace=workspace)
+
+    monkeypatch.setattr(clusters, "improve", counting_improve)
+    table, gens = groups.preset_group("s4")
+    g = cayley_graph(table, gens)
+    cg = cluster_group(g, 0.0, label_automorphisms(g), ImprovementConfig())
+    assert len(calls) == len(set(calls)) == 24
+    assert cg.as_dict()["counters"] == {
+        "improve_requests": 28_800,
+        "improve_calls": 24,
+        "closure_rounds": 2,
+    }
+
+
+# cluster_group(...).as_dict() without "counters", as computed before the
+# improvement memo existed; the memo must not change any of it
+PINNED_S3 = {
+    "order": 6,
+    "element_orders": [1, 2, 2, 2, 3, 3],
+    "abelian": False,
+    "identity_index": 0,
+    "inverse_map": [0, 1, 2, 4, 3, 5],
+    "table": [
+        [0, 1, 2, 3, 4, 5],
+        [1, 0, 3, 2, 5, 4],
+        [2, 4, 0, 5, 1, 3],
+        [3, 5, 1, 4, 0, 2],
+        [4, 2, 5, 0, 3, 1],
+        [5, 3, 4, 1, 2, 0],
+    ],
+    "representatives": [
+        [0, 1, 2, 3, 4, 5],
+        [1, 0, 3, 2, 5, 4],
+        [2, 4, 0, 5, 1, 3],
+        [3, 5, 1, 4, 0, 2],
+        [4, 2, 5, 0, 3, 1],
+        [5, 3, 4, 1, 2, 0],
+    ],
+}
+Z7_ROWS = [[(i + j) % 7 for j in range(7)] for i in range(7)]
+PINNED_Z7 = {
+    "order": 7,
+    "element_orders": [1, 7, 7, 7, 7, 7, 7],
+    "abelian": True,
+    "identity_index": 0,
+    "inverse_map": [0, 6, 5, 4, 3, 2, 1],
+    "table": Z7_ROWS,
+    "representatives": Z7_ROWS,
+}
+# sha256 of json.dumps(doc, sort_keys=True) for the Cay(S4) document
+PINNED_S4_SHA256 = "c5922cedfa9a8fd9687714fce60463ca6bb89e58574faf65b9330a8c30c77833"
+
+
+def _cluster_document(name, gens=None):
+    table, default_gens = groups.preset_group(name)
+    g = cayley_graph(table, gens or default_gens)
+    doc = cluster_group(g, 0.0, label_automorphisms(g), ImprovementConfig()).as_dict()
+    doc.pop("counters")
+    return doc
+
+
+def test_cluster_group_documents_are_pinned():
+    assert _cluster_document("s3") == PINNED_S3
+    assert _cluster_document("z7", [1, 6]) == PINNED_Z7
+    s4 = json.dumps(_cluster_document("s4"), sort_keys=True).encode()
+    assert hashlib.sha256(s4).hexdigest() == PINNED_S4_SHA256
+
+
+def test_cluster_group_s5_within_budget():
+    start = time.perf_counter()
+    table, gens = groups.preset_group("s5")
+    g = cayley_graph(table, gens)
+    cg = cluster_group(g, 0.0, label_automorphisms(g), ImprovementConfig())
+    order, element_orders, abelian = group_invariants(cg)
+    elapsed = time.perf_counter() - start
+    assert (order, abelian) == (120, False)
+    assert Counter(element_orders) == {1: 1, 2: 25, 3: 20, 4: 30, 5: 24, 6: 20}
+    assert cg.improve_calls == 120
+    assert elapsed < 30.0, f"Cay(S5) cluster group took {elapsed:.1f}s"
 
 
 def test_group_invariants_examples():

@@ -25,7 +25,7 @@ from soficlab import (
     rooted_ball_isomorphic,
     serialize_graph,
 )
-from soficlab.core_graph import connected_components, loop_count, subset_of_generators
+from soficlab.core_graph import connected_components, loop_count, parse_table, subset_of_generators
 from soficlab.errors import (
     GeneratorSetMismatch,
     InversePairMismatch,
@@ -392,6 +392,32 @@ def test_parse_graph_fuzz_gives_a_graph_or_a_structured_error(text):
     assert isinstance(g, LabeledGraph)
     canonical = serialize_graph(g)
     assert serialize_graph(parse_graph(canonical)) == canonical
+
+
+def _table_docs(m):
+    """Documents close to a table file for an m-element group: mostly square
+    tables of small ints, or the table of a real group, with mostly small
+    integer generators."""
+    row = _mostly(st.lists(_small_ints, min_size=m, max_size=m), _json_values)
+    preset = st.sampled_from(["z2", "z3", "z4", "s3"]).map(lambda name: groups.preset_group(name)[0].tolist())
+    return st.fixed_dictionaries(
+        {
+            "table": _mostly(preset | st.lists(row, min_size=m, max_size=m), _json_values),
+            "generators": _mostly(st.lists(st.integers(min_value=-1, max_value=6), max_size=3), _json_values),
+        }
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(st.integers(min_value=1, max_value=4).flatmap(_table_docs).map(json.dumps), _json_values.map(json.dumps)))
+def test_table_file_fuzz_gives_a_graph_or_a_structured_error(text):
+    try:
+        table, gens = parse_table(text)
+        g = cayley_graph(table, gens)
+    except SoficlabError:
+        return
+    assert g.n == table.shape[0]
+    assert sorted(g.gens.symbols) == sorted(f"g{x}" for x in gens)
 
 
 def test_vertex_set_semantics():
