@@ -10,21 +10,29 @@ near the original set, then repair the result to the graph of a bijection.
 The product graph is never built: ``expansion.average`` and
 ``expansion.prefix_boundary_counts`` act on ``(n, n)`` arrays, cell ``[x, y]``
 being the product vertex ``(x, y)``, and :func:`defect_of_map` has the
-boundary of the graph in closed form.
+boundary of the graph in closed form.  The smoothing runs in row blocks, one
+per available CPU, with bit-identical results for any number of blocks.  The
+sweep orders and counts only the top K of the n^2 cells, K certified to hold
+the pick (see :func:`improve`), so past the smoothing the work scales with
+the chosen set, not with n^2.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core_graph import LabeledGraph, RootedBall, VertexSet, good_vertices, is_connected, rooted_ball
-from .errors import LengthMismatch, NotBijective
+from .errors import InvalidMapFile, LengthMismatch, NotBijective
 from .expansion import average, descending_order, lambda2, prefix_boundary_counts
 
 REPAIR_RESCORING_LIMIT = 512
+# improve() sweeps the full order at once when the first certified prefix,
+# 2 * |T| + 1 cells, is more than this share of the n^2 cells
+_FULL_SWEEP_SHARE = 16
 
 
 class VertexMap:
@@ -134,14 +142,14 @@ class ImprovementConfig:
     def __post_init__(self):
         if not 0.0 < self.kappa <= 1.0:
             raise ValueError("kappa must lie in (0, 1]")
-        if self.alpha is not None and self.alpha <= 0.0:
-            raise ValueError("alpha must be positive")
+        if self.alpha is not None and not (0.0 < self.alpha < math.inf):
+            raise ValueError("alpha must be positive and finite")
         if self.radius < 0:
             raise ValueError("radius must be >= 0")
         if self.smoothing_steps < 1:
             raise ValueError("smoothing_steps must be >= 1")
-        if self.target_delta < 0.0:
-            raise ValueError("target_delta must be >= 0")
+        if not 0.0 <= self.target_delta < math.inf:
+            raise ValueError("target_delta must be >= 0 and finite")
 
 
 @dataclass
@@ -165,6 +173,7 @@ class ImprovementTrace:
     cols_trimmed: int
     pairs_added: int
     empirical_moved_ratio: float | None  # hamming_moved / (initial bad edges)
+    sweep_cells: int  # K of the certified top-K sweep, n^2 for the full order
 
     def as_dict(self) -> dict:
         doc = dict(self.__dict__)
@@ -239,6 +248,18 @@ def improve(
 ) -> tuple[VertexMap, ImprovementTrace]:
     """Improve an almost automorphism by spectral sweep rounding plus repair.
 
+    The sweep picks, among the prefixes of the descending order of the
+    smoothed indicator that satisfy ``|bd(U)| <= alpha |U|``, one with the
+    smallest symmetric difference ``d`` to T, then the smallest ratio, then
+    the smallest size; without such a prefix, the smallest (ratio, d, size).
+    Only the first K cells are ordered and counted, starting at
+    K = 2 |T| + 1: a prefix of size j has d >= j - |T|, so once a feasible
+    prefix with d = dmin is known, K >= |T| + dmin proves that no later
+    prefix competes.  Otherwise K grows, up to all n^2 cells (the fallback
+    pick needs them); ``trace.sweep_cells`` is the final K.  Inputs where
+    2 |T| + 1 is a large share of n^2 sweep all cells at once.  The result
+    is the same as a sweep over the full order.
+
     Never returns a map with more bad edges than the input: a worse candidate
     is discarded and ``c`` comes back unchanged with ``trace.reverted`` set.
     A final defect above ``target_delta * n`` is reported via
@@ -273,20 +294,32 @@ def improve(
         smoothed = average(g, smoothed)
     smoothed = smoothed.ravel()
 
-    order = descending_order(smoothed)
-    counts = prefix_boundary_counts(g, order, (n, n))  # prefix sizes 1..big_n-1
-    sizes = np.arange(1, big_n, dtype=np.int64)
-    cum_t = np.cumsum(t_mask[order])[: big_n - 1]
-    delta_t = t_size + sizes - 2 * cum_t
-    feasible = counts <= ws.alpha * sizes
-    if feasible.any():
-        alpha_feasible = True
-        dmin = int(delta_t[feasible].min())
+    # top-K sweep, K certified as in the docstring: delta_t[j] >= j - t_size
+    k = 2 * t_size + 1
+    if _FULL_SWEEP_SHARE * k >= big_n:
+        k = big_n
+    while True:
+        order = descending_order(smoothed, k)
+        counts = prefix_boundary_counts(g, order, (n, n))  # prefix sizes 1..min(k, big_n-1)
+        sizes = np.arange(1, counts.size + 1, dtype=np.int64)
+        cum_t = np.cumsum(t_mask[order])[: counts.size]
+        delta_t = t_size + sizes - 2 * cum_t
+        feasible = counts <= ws.alpha * sizes
+        alpha_feasible = bool(feasible.any())
+        if alpha_feasible:
+            dmin = int(delta_t[feasible].min())
+            if k >= min(t_size + dmin, big_n):
+                break
+            k = min(t_size + dmin, big_n)
+        elif k == big_n:
+            break
+        else:
+            k = min(4 * k, big_n)
+    if alpha_feasible:
         cand = np.flatnonzero(feasible & (delta_t == dmin))
         ratios = counts[cand] / sizes[cand]
         pick = int(cand[int(np.argmin(ratios))])  # ties: smallest prefix
     else:
-        alpha_feasible = False
         ratios = counts / sizes
         pick = int(np.lexsort((sizes, delta_t, ratios))[0])
     u_size = int(sizes[pick])
@@ -340,13 +373,26 @@ def improve(
         cols_trimmed=cols_trimmed,
         pairs_added=pairs_added,
         empirical_moved_ratio=(hamming_moved / initial.bad_edges) if initial.bad_edges else None,
+        sweep_cells=k,
     )
     return result, trace
 
 
 def parse_map_text(text: str) -> VertexMap:
-    """Map file format: one image per line, vertex order 0..n-1."""
-    images = [int(line.strip()) for line in text.splitlines() if line.strip()]
+    """Map file format: one image per line, vertex order 0..n-1; blank lines
+    are skipped.  A line that is not an integer in 0..n-1 raises
+    :class:`InvalidMapFile` naming its line number."""
+    lines = [(number, line.strip()) for number, line in enumerate(text.splitlines(), 1) if line.strip()]
+    n = len(lines)
+    images = []
+    for number, token in lines:
+        try:
+            image = int(token)
+        except ValueError:
+            raise InvalidMapFile(f"line {number}: {token[:40]!r} is not an integer") from None
+        if not 0 <= image < n:
+            raise InvalidMapFile(f"line {number}: image {token[:40]} outside 0..{n - 1}")
+        images.append(image)
     return VertexMap(images)
 
 

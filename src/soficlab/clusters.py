@@ -23,6 +23,7 @@ the good set") fire once per distinct input, not once per request.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -72,7 +73,14 @@ class DichotomyReport:
         return not self.violations
 
 
+def _check_delta(delta: float):
+    # a NaN delta would make every ``bad > delta * n`` check pass
+    if not math.isfinite(delta):
+        raise ValueError(f"delta must be finite, got {delta}")
+
+
 def _check_delta_maps(g: LabeledGraph, delta: float, maps: list[VertexMap], require_bijective: bool):
+    _check_delta(delta)
     for idx, m in enumerate(maps):
         if require_bijective and not m.bijective:
             raise NotBijective(f"map {idx} is not a bijection")
@@ -481,6 +489,7 @@ def lef_certificate(
     when all pairwise products land in pairwise distinct clusters and cluster
     multiplication matches word concatenation.
     """
+    _check_delta(delta)
     if isinstance(gamma_labels, GeneratorSet):
         gamma = gamma_labels
     else:

@@ -13,6 +13,10 @@ class InvalidGraphFile(SoficlabError, ValueError):
     """A graph file that is not a well-formed graph document."""
 
 
+class InvalidMapFile(SoficlabError, ValueError):
+    """A map file line that is not an integer or not an image in 0..n-1."""
+
+
 class NotAPermutation(SoficlabError):
     pass
 

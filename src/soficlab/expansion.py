@@ -9,6 +9,9 @@ near-eigenvector certifies an upper bound.
 
 from __future__ import annotations
 
+import math
+import os
+import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -24,6 +27,10 @@ EXHAUSTIVE_LIMIT = 24
 LOWER_BOUND_GUARD = 1e-9
 
 _CHUNK = 1 << 20
+# average() on (n, n): cells per row block below which threads do not pay,
+# and cells per tile of rows within a block (two float64 tiles stay in cache)
+_BLOCK_MIN_CELLS = 1 << 15
+_TILE_CELLS = 1 << 16
 
 
 @dataclass
@@ -148,15 +155,78 @@ def cheeger_exact(g: LabeledGraph, exhaustive_limit: int = EXHAUSTIVE_LIMIT) -> 
 def average(g: LabeledGraph, x: np.ndarray) -> np.ndarray:
     """The averaging operator ``(M x)[v] = mean_s x[s.v]`` on ``g`` (``x`` of
     shape ``(n,)``) or on ``g x g`` (shape ``(n, n)``, cell ``[x, y]`` is the
-    product vertex ``(x, y)``, and ``s`` acts along both axes)."""
+    product vertex ``(x, y)``, and ``s`` acts along both axes).
+
+    On ``g x g`` the rows are split into one block per CPU this process may
+    run on, each block on its own thread (``take`` releases the GIL), once
+    every block has at least 2**15 cells; smaller inputs are one block in the
+    calling thread.  Every cell sums the same terms in the
+    same order whatever the split, so the result is bit-identical for any
+    number of blocks.
+    """
     actions = g.actions
-    moved = x.take(actions, axis=0)  # moved[s] = x with s acting along axis 0
     if x.ndim == 1:
-        return moved.mean(axis=0)
-    total = moved[0].take(actions[0], axis=1)
-    for s in range(1, len(actions)):
-        total += moved[s].take(actions[s], axis=1)
-    return total / len(actions)
+        return x.take(actions, axis=0).mean(axis=0)
+    out = np.empty_like(x)
+    blocks = x.size // _BLOCK_MIN_CELLS
+    if blocks > 1:
+        _average_row_blocks(actions, x, out, min(blocks, _usable_cpus()))
+    else:
+        _average_rows(actions, x, out, 0, x.shape[0])
+    return out
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on; all CPUs where affinity is unknown."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # sched_getaffinity is not on every platform
+        return os.cpu_count() or 1
+
+
+def _average_row_blocks(actions: np.ndarray, x: np.ndarray, out: np.ndarray, blocks: int):
+    """``average`` on shape ``(n, n)`` into ``out``, the rows split into
+    ``blocks`` contiguous blocks, all but the first on their own threads."""
+    n = x.shape[0]
+    bounds = [(n * b // blocks, n * (b + 1) // blocks) for b in range(blocks)]
+    errors: list[BaseException] = []
+
+    def run(r0: int, r1: int):
+        try:
+            _average_rows(actions, x, out, r0, r1)
+        except BaseException as exc:  # re-raised in the calling thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=run, args=b) for b in bounds[1:]]
+    for t in threads:
+        t.start()
+    try:
+        _average_rows(actions, x, out, *bounds[0])
+    finally:
+        for t in threads:
+            t.join()
+    if errors:
+        raise errors[0]
+
+
+def _average_rows(actions: np.ndarray, x: np.ndarray, out: np.ndarray, r0: int, r1: int):
+    """``out[r0:r1] = sum_s x[p_s[r0:r1]][:, p_s] / k``, in tiles of rows
+    that keep the two gather buffers in cache.  ``mode="clip"`` lets
+    ``take`` write to ``out=`` without an intermediate copy; every index is
+    in range anyway."""
+    n = x.shape[1]
+    tile = max(1, _TILE_CELLS // n)
+    rows = np.empty((min(tile, r1 - r0), n))
+    moved = np.empty_like(rows)
+    for a in range(r0, r1, tile):
+        b = min(a + tile, r1)
+        part, rb, mb = out[a:b], rows[: b - a], moved[: b - a]
+        x.take(actions[0, a:b], axis=0, out=rb, mode="clip")
+        rb.take(actions[0], axis=1, out=part, mode="clip")
+        for p in actions[1:]:
+            x.take(p[a:b], axis=0, out=rb, mode="clip")
+            part += rb.take(p, axis=1, out=mb, mode="clip")
+        part /= len(actions)
 
 
 def lambda2(g: LabeledGraph, tol: float = 1e-10, max_iter: int = 10000, seed: int = 0) -> SpectralData:
@@ -199,30 +269,76 @@ def lambda2(g: LabeledGraph, tol: float = 1e-10, max_iter: int = 10000, seed: in
 
 
 def prefix_boundary_counts(g: LabeledGraph, order: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """|bd(prefix_j)| for j = 1..N-1 along ``order``, a permutation of the N
-    cells of ``shape``: ``(n,)`` for ``g``, ``(n, n)`` for ``g x g`` as in
-    :func:`average`.  Each pair representative acts on the rank array along
-    every axis; a loop adds and removes the same bin, and a self-inverse
-    symbol meets each edge from both ends, so its counts are halved."""
-    size = order.size
-    rank = np.empty(size, dtype=np.int64)
-    rank[order] = np.arange(size)
-    rank = rank.reshape(shape)
-    diff = np.zeros(size, dtype=np.int64)
+    """|bd(prefix_j)| along ``order``, the first K cells of a descending
+    order of the N cells of ``shape``: ``(n,)`` for ``g``, ``(n, n)`` for
+    ``g x g`` as in :func:`average`.  Returns the counts of the prefix sizes
+    j = 1..min(K, N-1), exact because every cell outside ``order`` gets
+    rank K: an edge leaving the prefix is counted up to K however far out its
+    other end lies.
+
+    Only the edges that touch the K cells are visited, so the work is
+    O(|S| K) after one O(N) rank fill.  For each pair representative ``s`` an edge
+    ``{v, s.v}`` is met from ``v`` when ``v`` is in the order, and from
+    ``s.v`` when only that end is; a self-inverse symbol meets each edge from
+    both ends, so its counts are halved, and a loop adds and removes the same
+    bin."""
+    size = math.prod(shape)
+    n = g.n
+    top = order.size
+    ranks = np.arange(top)
+    rank = np.full(size, top, dtype=np.int64)
+    rank[order] = ranks
+    if top == size:  # every cell: act on the rank array along every axis
+        ranks = rank
+        cells = rank.reshape(shape)
+
+        def act(p: np.ndarray) -> np.ndarray:
+            moved = cells
+            for axis in range(cells.ndim):
+                moved = moved.take(p, axis=axis)
+            return moved.ravel()
+    else:
+        coords = np.unravel_index(order, shape)
+
+        def act(p: np.ndarray) -> np.ndarray:
+            flat = p[coords[0]]
+            for c in coords[1:]:
+                flat = flat * n + p[c]
+            return rank[flat]
+
+    diff = np.zeros(top + 1, dtype=np.int64)
     for i in g.gens.pair_representatives():
-        moved = rank
-        for axis in range(rank.ndim):
-            moved = moved.take(g.actions[i], axis=axis)
+        j = g.gens.inverse[i]
+        other = act(g.actions[i])  # the rank of s.v
         # the edge {v, s.v} crosses the prefixes of sizes min(rank)+1 .. max(rank)
-        step = np.bincount(np.minimum(rank, moved).ravel(), minlength=size)
-        step -= np.bincount(np.maximum(rank, moved, out=moved).ravel(), minlength=size)
-        diff += step // 2 if g.gens.inverse[i] == i else step
-    return np.cumsum(diff)[: size - 1]
+        step = np.bincount(np.minimum(ranks, other), minlength=top + 1)
+        if top < size:
+            # edges {s^-1.v, v} with only v in the order: prefixes rank(v)+1 .. K
+            back = other if j == i else act(g.actions[j])
+            step[:top] += np.bincount(ranks[back == top], minlength=top)
+        step -= np.bincount(np.maximum(ranks, other, out=other), minlength=top + 1)
+        diff += step // 2 if j == i else step
+    return np.cumsum(diff[:top])[: min(top, size - 1)]
 
 
-def descending_order(vec: np.ndarray) -> np.ndarray:
-    """Vertices by value descending, ties by vertex index."""
-    return np.lexsort((np.arange(vec.size), -vec))
+def descending_order(vec: np.ndarray, limit: int | None = None) -> np.ndarray:
+    """Vertices by value descending, ties by vertex index; only the first
+    ``limit >= 1`` of them when ``limit`` is given.
+
+    A partial order comes from one ``np.partition`` at the ``limit``-th
+    value: every cell above that value, then the tied cells with the
+    smallest indices, and a sort of those ``limit`` cells only."""
+    neg = -vec
+    if limit is None or limit >= vec.size:
+        return np.lexsort((np.arange(vec.size), neg))
+    kth = np.partition(neg, limit - 1)[limit - 1]
+    before = neg < kth
+    tied = neg == kth
+    if np.isnan(kth):  # NaN sorts last; every number comes before it
+        before, tied = ~np.isnan(neg), np.isnan(neg)
+    above = np.flatnonzero(before)
+    top = np.concatenate((above, np.flatnonzero(tied)[: limit - above.size]))
+    return top[np.lexsort((top, neg[top]))]
 
 
 def sweep_cut(g: LabeledGraph, vec) -> tuple[VertexSet, float]:
@@ -232,9 +348,9 @@ def sweep_cut(g: LabeledGraph, vec) -> tuple[VertexSet, float]:
         raise LengthMismatch(f"vector has length {vec.size}, graph has {g.n} vertices")
     if np.all(vec == vec[0]):
         raise DegenerateVector("sweep vector is constant")
-    order = descending_order(vec)
-    counts = prefix_boundary_counts(g, order, vec.shape)
     half = g.n // 2
+    order = descending_order(vec, half)
+    counts = prefix_boundary_counts(g, order, vec.shape)
     ratios = counts[:half] / np.arange(1, half + 1)
     k = int(np.argmin(ratios)) + 1  # first minimum: smallest prefix wins ties
     return VertexSet.from_indices(g.n, order[:k]), float(ratios[k - 1])

@@ -1,10 +1,16 @@
+import hashlib
+import json
+import math
 import tracemalloc
 import warnings
 from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from soficlab import almost_auto
 from soficlab import GeneratorSet, boundary, cayley_graph, is_simple, make_labeled_graph, product_graph, rooted_ball
 from soficlab.almost_auto import (
     ImprovementConfig,
@@ -20,12 +26,12 @@ from soficlab.almost_auto import (
     label_automorphisms,
     parse_map_text,
 )
-from soficlab.errors import LengthMismatch, NotBijective
+from soficlab.errors import InvalidMapFile, LengthMismatch, NotBijective, SoficlabError
 from soficlab.expansion import cheeger_exact
 from soficlab.sofic import random_permutation_model
 from soficlab import groups
 
-from conftest import cycle_graph, random_simple_graph
+from conftest import cycle_graph, random_connected_graph, random_simple_graph
 
 
 def slow_bad_edges(g, images):
@@ -330,3 +336,156 @@ def test_label_automorphisms_of_cayley_graphs():
 def test_map_text_round_trip():
     c = VertexMap([3, 1, 0, 2])
     assert parse_map_text(format_map_text(c)) == c
+
+
+def _transposed(base, pairs, rng):
+    """``base`` with ``pairs`` disjoint random transpositions of its values."""
+    points = rng.choice(base.size, 2 * pairs, replace=False)
+    out = base.copy()
+    out[points[:pairs]], out[points[pairs:]] = base[points[pairs:]], base[points[:pairs]]
+    return out
+
+
+def _involution_model(n, seed):
+    """A self-inverse symbol with fixed points next to a random pair."""
+    rng = np.random.default_rng(seed)
+    perm = rng.permutation(n)
+    t = np.arange(n)
+    m = 2 * (n // 3)
+    t[perm[0:m:2]], t[perm[1:m:2]] = perm[1:m:2], perm[0:m:2]
+    p = rng.permutation(n)
+    return make_labeled_graph(n, GeneratorSet.from_pairs([("t", "t"), ("a", "A")]), [t, p, np.argsort(p)])
+
+
+def improve_corpus():
+    """(graph, config, input maps) for the pinned improve corpus."""
+    table, gen_idx = groups.preset_group("s5")
+    s5 = cayley_graph(table, gen_idx)
+    # the criterion-5 fixture: every right translation of Cay(S5), two points swapped
+    rng = np.random.default_rng(20240817)
+    fixture = []
+    for elem in range(s5.n):
+        corrupted = table[:, elem].copy()
+        x1, x2 = rng.choice(s5.n, 2, replace=False)
+        corrupted[[x1, x2]] = corrupted[[x2, x1]]
+        fixture.append(corrupted)
+    cases = [(s5, ImprovementConfig(kappa=0.2, radius=1, smoothing_steps=10, target_delta=1 / s5.n), fixture)]
+    rng = np.random.default_rng(7)
+    cases.append((s5, ImprovementConfig(), [table[:, 5].copy()] + [rng.permutation(s5.n) for _ in range(3)]))
+    for n in (50, 200, 1000):
+        g = random_permutation_model(n, 2, seed=n)
+        ident = np.arange(n)
+        maps = [_transposed(ident, p, rng) for p in (1, n // 20, n // 5)]
+        cases.append((g, ImprovementConfig(), maps if n < 1000 else maps[1:]))
+    g = _involution_model(150, 3)
+    cases.append((g, ImprovementConfig(), [_transposed(np.arange(150), p, rng) for p in (2, 10, 40)]))
+    g = random_permutation_model(120, 2, seed=120)
+    maps = [_transposed(np.arange(120), 12, rng), rng.permutation(120)]
+    cases.append((g, ImprovementConfig(alpha=1e-6), maps))  # the random map has no alpha-feasible prefix
+    cases.append((g, ImprovementConfig(alpha=3.0, smoothing_steps=3), maps))
+    return cases
+
+
+def improve_corpus_digest(cases) -> str:
+    """sha256 over every improved map and trace, the trace without
+    ``sweep_cells`` (a counter of how the sweep got there, not of what it
+    found)."""
+    digest = hashlib.sha256()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for g, cfg, maps in cases:
+            ws = ImprovementWorkspace(g, cfg)
+            for images in maps:
+                improved, trace = improve(g, VertexMap(images), cfg, workspace=ws)
+                doc = trace.as_dict()
+                doc.pop("sweep_cells", None)
+                digest.update(improved.images.astype("<i8").tobytes())
+                digest.update(json.dumps(doc, sort_keys=True).encode())
+    return digest.hexdigest()
+
+
+def test_improve_corpus_matches_the_pinned_digest():
+    # computed with the full descending order and a single-threaded
+    # smoothing; the certified top-K sweep and the row blocks must not move
+    # a bit of any map or trace
+    assert improve_corpus_digest(improve_corpus()) == "1c410b999aeefd15a2d74847a2cc90444a63a46ed6eb0c3934d28cb8157e773c"
+
+
+@pytest.mark.filterwarnings("ignore:graph of the map misses the good set")
+def test_improve_reports_sweep_cells():
+    n = 1000
+    g = random_permutation_model(n, 2, seed=n)
+    corrupted = _transposed(np.arange(n), 50, np.random.default_rng(1))
+    _, trace = improve(g, VertexMap(corrupted), ImprovementConfig())
+    # certified on the first try: 2 |T| + 1 cells, far below n^2
+    assert trace.alpha_feasible
+    assert trace.sweep_cells == 2 * trace.t_size + 1
+    assert trace.u_size <= trace.sweep_cells < n * n // 100
+    assert trace.as_dict()["sweep_cells"] == trace.sweep_cells
+    # no alpha-feasible prefix: the fallback pick needs the full order
+    g, cfg, maps = improve_corpus()[-2]
+    _, trace = improve(g, VertexMap(maps[-1]), cfg)
+    assert not trace.alpha_feasible
+    assert trace.sweep_cells == g.n * g.n
+
+
+@pytest.mark.parametrize("field", ["alpha", "target_delta"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_config_rejects_non_finite_numbers(field, value):
+    with pytest.raises(ValueError, match=field):
+        ImprovementConfig(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("1\n0\n99999999999999999999999\n", 3),
+        ("0\n\n2\n1\n-1\n", 5),
+        ("0\n1\nx\n", 3),
+        ("0\n3\n1\n", 2),
+        ("0.0\n", 1),
+    ],
+)
+def test_parse_map_text_names_the_bad_line(text, line):
+    with pytest.raises(InvalidMapFile, match=f"line {line}:"):
+        parse_map_text(text)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.lists(
+        st.one_of(
+            st.integers(min_value=-3, max_value=8).map(str),
+            st.integers(min_value=-(2**70), max_value=2**70).map(str),
+            st.text(alphabet=" \t0123456789+-_.xe", max_size=6),
+        ),
+        max_size=8,
+    ).map("\n".join)
+)
+def test_map_text_fuzz_gives_a_map_or_a_structured_error(text):
+    try:
+        c = parse_map_text(text)
+    except SoficlabError:
+        return
+    assert isinstance(c, VertexMap)
+    assert parse_map_text(format_map_text(c)) == c
+
+
+@pytest.mark.filterwarnings("ignore:graph of the map misses the good set")
+@pytest.mark.parametrize("seed", [121, 200, 290, 382, 661, 969])
+def test_certified_sweep_equals_the_full_sweep(monkeypatch, seed):
+    # instances whose first alpha-feasible prefix within 2 |T| + 1 cells is
+    # not the pick: the sweep must grow K to |T| + dmin before it stops
+    rng = np.random.default_rng(seed)
+    g = random_connected_graph(rng, int(rng.integers(8, 40)))
+    cfg = ImprovementConfig(alpha=2.0, radius=int(rng.integers(0, 3)), smoothing_steps=int(rng.integers(1, 6)))
+    c = VertexMap(rng.permutation(g.n))
+    results = {}
+    for share in (0, math.inf):  # always start at 2 |T| + 1, always sweep all n^2 cells
+        monkeypatch.setattr(almost_auto, "_FULL_SWEEP_SHARE", share)
+        improved, trace = improve(g, c, cfg)
+        doc = trace.as_dict()
+        results[share] = (improved, doc.pop("sweep_cells"), doc)
+    assert results[0][0] == results[math.inf][0]
+    assert results[0][2] == results[math.inf][2]
+    assert 2 * results[0][2]["t_size"] + 1 < results[0][1] < g.n * g.n == results[math.inf][1]

@@ -227,3 +227,36 @@ def test_console_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert parse_graph(out.read_text()).n == 3
+
+
+def test_map_file_with_a_huge_integer_is_a_domain_error(tmp_path, capsys):
+    g = tmp_path / "g.json"
+    run(["gen", "cayley", "--group", "z5", "--gens", "1,4", "-o", str(g)])
+    m = tmp_path / "m.txt"
+    m.write_text("1\n2\n99999999999999999999999\n4\n0\n")
+    for argv in (["improve", str(g), "--map", str(m), "-o", str(tmp_path / "out.map")],
+                 ["cluster-group", str(g), "--map", str(m), "-o", str(tmp_path / "cg.json")]):
+        assert run(argv) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["error"]["type"] == "InvalidMapFile"
+        assert "line 3" in doc["error"]["message"]
+    assert not list(tmp_path.glob("out.map*")) and not (tmp_path / "cg.json").exists()
+
+
+def test_non_finite_alpha_and_delta_are_domain_errors(tmp_path, capsys):
+    g = tmp_path / "g.json"
+    run(["gen", "cayley", "--group", "s3xz4", "-o", str(g)])
+    m = tmp_path / "m.txt"
+    m.write_text(format_map_text(VertexMap(np.arange(24))))
+    words = tmp_path / "f.txt"
+    words.write_text("()\n")
+    runs = [
+        ["improve", str(g), "--map", str(m), "--alpha", "nan"],
+        ["improve", str(g), "--map", str(m), "--delta", "nan"],
+        ["cluster-group", str(g), "--map", str(m), "--delta", "nan"],
+        ["lef-check", str(g), "--gamma", "g8,g12,g16", "--words", str(words), "--delta", "nan"],
+    ]
+    for argv in runs:
+        assert run(argv + ["-o", str(tmp_path / "out")]) == 1, argv
+        assert json.loads(capsys.readouterr().out)["error"]["type"] == "ValueError"
+    assert not list(tmp_path.glob("out*"))

@@ -417,3 +417,25 @@ def test_lef_certificate_rejects_gamma_letter_in_words():
     gamma = ["g8", "g12", "g16"]  # the embedded S3 generators
     with pytest.raises(ValueError):
         lef_certificate(g, gamma, [Word((gamma[0],), True)], 0.0, ImprovementConfig())
+
+
+@pytest.mark.parametrize("delta", [float("nan"), float("inf")])
+def test_cluster_functions_reject_non_finite_delta(delta):
+    # a NaN delta makes every "bad > delta * n" comparison false, so a map
+    # with bad edges would pass as a delta-almost automorphism
+    table, gens = groups.preset_group("s3")
+    g = cayley_graph(table, gens)
+    corrupted = table[:, 1].copy()
+    corrupted[[0, 3]] = corrupted[[3, 0]]
+    maps = [VertexMap(table[:, 0]), VertexMap(corrupted)]
+    assert defect_of_map(g, maps[1]).bad_edges > 0
+    calls = [
+        lambda: dichotomy_check(g, delta, maps, h=1.5),
+        lambda: cluster_maps(g, delta, maps),
+        lambda: cluster_group(g, delta, maps, ImprovementConfig()),
+        lambda: lef_certificate(cayley_graph(*groups.preset_group("s3xz4")), ["g8", "g12", "g16"], [Word((), True)],
+                                delta, ImprovementConfig()),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="delta"):
+            call()

@@ -3,10 +3,21 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from soficlab import GeneratorSet, VertexSet, boundary, cayley_graph, make_labeled_graph, product_graph
 from soficlab.errors import DegenerateVector, TooLargeForExhaustive
-from soficlab.expansion import average, cheeger_bounds, cheeger_exact, lambda2, prefix_boundary_counts, sweep_cut
+from soficlab import expansion
+from soficlab.expansion import (
+    average,
+    cheeger_bounds,
+    cheeger_exact,
+    descending_order,
+    lambda2,
+    prefix_boundary_counts,
+    sweep_cut,
+)
 from soficlab.sofic import random_permutation_model
 from soficlab import groups
 
@@ -213,3 +224,45 @@ def test_average_matches_gather_on_g_and_product(rng):
         x = rng.standard_normal((n, n))
         expected = x.ravel()[product_graph(g, g).actions].mean(axis=0)
         assert np.array_equal(average(g, x).ravel(), expected)
+
+
+# few distinct values, so the K-th value is usually tied; NaN sorts last
+_tied_values = st.lists(st.sampled_from([0.0, -0.0, 0.25, 1.0, -3.0, np.nan]), min_size=1, max_size=80)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tied_values, st.data())
+def test_partial_descending_order_is_a_prefix_of_the_full_order(values, data):
+    vec = np.array(values)
+    limit = data.draw(st.integers(min_value=1, max_value=vec.size + 2))
+    full = descending_order(vec)
+    assert full.tolist() == np.lexsort((np.arange(vec.size), -vec)).tolist()
+    assert descending_order(vec, limit).tolist() == full[:limit].tolist()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=4), st.integers(min_value=0, max_value=2**32 - 1), st.data())
+def test_partial_prefix_boundary_counts_match_the_full_counts(graph_index, seed, data):
+    # graph 0 has a self-inverse symbol with fixed points and proper-pair loops
+    g = small_non_simple_graphs()[graph_index]
+    rng = np.random.default_rng(seed)
+    for shape in ((g.n,), (g.n, g.n)):
+        size = int(np.prod(shape))
+        order = rng.permutation(size)
+        full = prefix_boundary_counts(g, order, shape)
+        limit = data.draw(st.integers(min_value=1, max_value=size))
+        partial = prefix_boundary_counts(g, order[:limit], shape)
+        assert partial.tolist() == full[:limit].tolist()
+
+
+@pytest.mark.parametrize("tile_cells", [expansion._TILE_CELLS, 64])
+def test_average_row_blocks_are_bit_identical(rng, monkeypatch, tile_cells):
+    monkeypatch.setattr(expansion, "_TILE_CELLS", tile_cells)
+    for g in small_non_simple_graphs()[:2] + [random_permutation_model(300, 2, seed=3)]:
+        n = g.n
+        x = rng.standard_normal((n, n))
+        expected = average(g, x).view(np.int64)
+        for blocks in (1, 2, 3, 7, n + 2):
+            out = np.full_like(x, np.nan)
+            expansion._average_row_blocks(g.actions, x, out, blocks)
+            assert np.array_equal(out.view(np.int64), expected)
