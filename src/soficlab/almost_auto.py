@@ -255,8 +255,9 @@ def improve(
     Only the first K cells are ordered and counted, starting at
     K = 2 |T| + 1: a prefix of size j has d >= j - |T|, so once a feasible
     prefix with d = dmin is known, K >= |T| + dmin proves that no later
-    prefix competes.  Otherwise K grows, up to all n^2 cells (the fallback
-    pick needs them); ``trace.sweep_cells`` is the final K.  Inputs where
+    prefix competes; a larger dmin grows K to |T| + dmin.  Without a
+    feasible prefix, K becomes all n^2 cells at once (the fallback pick
+    needs them); ``trace.sweep_cells`` is the final K.  Inputs where
     2 |T| + 1 is a large share of n^2 sweep all cells at once.  The result
     is the same as a sweep over the full order.
 
@@ -314,7 +315,7 @@ def improve(
         elif k == big_n:
             break
         else:
-            k = min(4 * k, big_n)
+            k = big_n  # the fallback pick ranks every prefix
     if alpha_feasible:
         cand = np.flatnonzero(feasible & (delta_t == dmin))
         ratios = counts[cand] / sizes[cand]

@@ -28,7 +28,7 @@ LOWER_BOUND_GUARD = 1e-9
 
 _CHUNK = 1 << 20
 # average() on (n, n): cells per row block below which threads do not pay,
-# and cells per tile of rows within a block (two float64 tiles stay in cache)
+# and cells per tile of rows within a block, counting the rows of all k gathers
 _BLOCK_MIN_CELLS = 1 << 15
 _TILE_CELLS = 1 << 16
 
@@ -155,18 +155,23 @@ def cheeger_exact(g: LabeledGraph, exhaustive_limit: int = EXHAUSTIVE_LIMIT) -> 
 def average(g: LabeledGraph, x: np.ndarray) -> np.ndarray:
     """The averaging operator ``(M x)[v] = mean_s x[s.v]`` on ``g`` (``x`` of
     shape ``(n,)``) or on ``g x g`` (shape ``(n, n)``, cell ``[x, y]`` is the
-    product vertex ``(x, y)``, and ``s`` acts along both axes).
+    product vertex ``(x, y)``, and ``s`` acts along both axes).  The result
+    is float64.
 
     On ``g x g`` the rows are split into one block per CPU this process may
     run on, each block on its own thread (``take`` releases the GIL), once
     every block has at least 2**15 cells; smaller inputs are one block in the
-    calling thread.  Every cell sums the same terms in the
-    same order whatever the split, so the result is bit-identical for any
-    number of blocks.
+    calling thread.  A block runs in tiles of rows whose gathers for all
+    symbols stay in cache, so no ``(k, n, n)`` temporary is made.  Every cell
+    sums the same terms in the same order whatever the split, so the result
+    is bit-identical for any number of blocks.
     """
     actions = g.actions
     if x.ndim == 1:
         return x.take(actions, axis=0).mean(axis=0)
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    if actions.size * x.shape[0] <= _TILE_CELLS:  # a single tile
+        return _average_tile(actions, actions, x)
     out = np.empty_like(x)
     blocks = x.size // _BLOCK_MIN_CELLS
     if blocks > 1:
@@ -210,23 +215,24 @@ def _average_row_blocks(actions: np.ndarray, x: np.ndarray, out: np.ndarray, blo
 
 
 def _average_rows(actions: np.ndarray, x: np.ndarray, out: np.ndarray, r0: int, r1: int):
-    """``out[r0:r1] = sum_s x[p_s[r0:r1]][:, p_s] / k``, in tiles of rows
-    that keep the two gather buffers in cache.  ``mode="clip"`` lets
-    ``take`` write to ``out=`` without an intermediate copy; every index is
-    in range anyway."""
-    n = x.shape[1]
-    tile = max(1, _TILE_CELLS // n)
-    rows = np.empty((min(tile, r1 - r0), n))
-    moved = np.empty_like(rows)
+    """``out[r0:r1]`` of :func:`average`, in tiles of rows whose gathers for
+    all k symbols stay in cache."""
+    k, n = actions.shape
+    tile = max(1, _TILE_CELLS // (k * n))
     for a in range(r0, r1, tile):
         b = min(a + tile, r1)
-        part, rb, mb = out[a:b], rows[: b - a], moved[: b - a]
-        x.take(actions[0, a:b], axis=0, out=rb, mode="clip")
-        rb.take(actions[0], axis=1, out=part, mode="clip")
-        for p in actions[1:]:
-            x.take(p[a:b], axis=0, out=rb, mode="clip")
-            part += rb.take(p, axis=1, out=mb, mode="clip")
-        part /= len(actions)
+        out[a:b] = _average_tile(actions[:, a:b], actions, x)
+
+
+def _average_tile(row_actions: np.ndarray, actions: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``sum_s x[p_s[rows]][:, p_s] / k``, summed in symbol order, where
+    ``row_actions = actions[:, rows]`` for a range of rows."""
+    moved = x.take(row_actions, axis=0)
+    total = moved[0].take(actions[0], axis=1)
+    for s in range(1, len(actions)):
+        total += moved[s].take(actions[s], axis=1)
+    total /= len(actions)
+    return total
 
 
 def lambda2(g: LabeledGraph, tol: float = 1e-10, max_iter: int = 10000, seed: int = 0) -> SpectralData:

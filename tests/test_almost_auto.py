@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from soficlab import almost_auto
+from soficlab import almost_auto, expansion
 from soficlab import GeneratorSet, boundary, cayley_graph, is_simple, make_labeled_graph, product_graph, rooted_ball
 from soficlab.almost_auto import (
     ImprovementConfig,
@@ -412,7 +412,7 @@ def test_improve_corpus_matches_the_pinned_digest():
 
 
 @pytest.mark.filterwarnings("ignore:graph of the map misses the good set")
-def test_improve_reports_sweep_cells():
+def test_improve_reports_sweep_cells(monkeypatch):
     n = 1000
     g = random_permutation_model(n, 2, seed=n)
     corrupted = _transposed(np.arange(n), 50, np.random.default_rng(1))
@@ -422,11 +422,21 @@ def test_improve_reports_sweep_cells():
     assert trace.sweep_cells == 2 * trace.t_size + 1
     assert trace.u_size <= trace.sweep_cells < n * n // 100
     assert trace.as_dict()["sweep_cells"] == trace.sweep_cells
-    # no alpha-feasible prefix: the fallback pick needs the full order
+    # no alpha-feasible prefix in 2 |T| + 1 cells: straight to the full
+    # order, which the fallback pick needs
+    limits = []
+
+    def recording_order(vec, limit=None):
+        limits.append(limit)
+        return expansion.descending_order(vec, limit)
+
+    monkeypatch.setattr(almost_auto, "descending_order", recording_order)
+    monkeypatch.setattr(almost_auto, "_FULL_SWEEP_SHARE", 0)
     g, cfg, maps = improve_corpus()[-2]
     _, trace = improve(g, VertexMap(maps[-1]), cfg)
     assert not trace.alpha_feasible
     assert trace.sweep_cells == g.n * g.n
+    assert limits == [2 * trace.t_size + 1, g.n * g.n]
 
 
 @pytest.mark.parametrize("field", ["alpha", "target_delta"])
@@ -474,8 +484,9 @@ def test_map_text_fuzz_gives_a_map_or_a_structured_error(text):
 @pytest.mark.filterwarnings("ignore:graph of the map misses the good set")
 @pytest.mark.parametrize("seed", [121, 200, 290, 382, 661, 969])
 def test_certified_sweep_equals_the_full_sweep(monkeypatch, seed):
-    # instances whose first alpha-feasible prefix within 2 |T| + 1 cells is
-    # not the pick: the sweep must grow K to |T| + dmin before it stops
+    # instances whose first 2 |T| + 1 cells do not settle the pick: the
+    # sweep must grow K to |T| + dmin (or to n^2 when those cells hold no
+    # alpha-feasible prefix, as for seed 969) before it stops
     rng = np.random.default_rng(seed)
     g = random_connected_graph(rng, int(rng.integers(8, 40)))
     cfg = ImprovementConfig(alpha=2.0, radius=int(rng.integers(0, 3)), smoothing_steps=int(rng.integers(1, 6)))
@@ -488,4 +499,4 @@ def test_certified_sweep_equals_the_full_sweep(monkeypatch, seed):
         results[share] = (improved, doc.pop("sweep_cells"), doc)
     assert results[0][0] == results[math.inf][0]
     assert results[0][2] == results[math.inf][2]
-    assert 2 * results[0][2]["t_size"] + 1 < results[0][1] < g.n * g.n == results[math.inf][1]
+    assert 2 * results[0][2]["t_size"] + 1 < results[0][1] <= g.n * g.n == results[math.inf][1]

@@ -222,8 +222,12 @@ def test_average_matches_gather_on_g_and_product(rng):
         v = rng.standard_normal(n)
         assert np.array_equal(average(g, v), v[g.actions].mean(axis=0))
         x = rng.standard_normal((n, n))
-        expected = x.ravel()[product_graph(g, g).actions].mean(axis=0)
-        assert np.array_equal(average(g, x).ravel(), expected)
+        # float64 means also of bool and int inputs
+        for cells in (x, x > 0, np.rint(4 * x).astype(np.int64)):
+            expected = cells.ravel()[product_graph(g, g).actions].mean(axis=0)
+            result = average(g, cells)
+            assert result.dtype == np.float64
+            assert np.array_equal(result.ravel(), expected)
 
 
 # few distinct values, so the K-th value is usually tied; NaN sorts last
@@ -261,7 +265,8 @@ def test_average_row_blocks_are_bit_identical(rng, monkeypatch, tile_cells):
     for g in small_non_simple_graphs()[:2] + [random_permutation_model(300, 2, seed=3)]:
         n = g.n
         x = rng.standard_normal((n, n))
-        expected = average(g, x).view(np.int64)
+        expected = x.ravel()[product_graph(g, g).actions].mean(axis=0).view(np.int64).reshape(n, n)
+        assert np.array_equal(average(g, x).view(np.int64), expected)
         for blocks in (1, 2, 3, 7, n + 2):
             out = np.full_like(x, np.nan)
             expansion._average_row_blocks(g.actions, x, out, blocks)
