@@ -196,8 +196,13 @@ class ImprovementWorkspace:
             self.alpha = cfg.alpha
         else:
             sd = lambda2(g, tol=1e-10, max_iter=10000, seed=0)
-            lower = len(g.gens) * (1.0 - sd.lambda2) / 2.0 if sd.converged else 0.0
-            self.alpha = max(lower / 4.0, 1e-9)
+            if not sd.converged:
+                warnings.warn(
+                    f"lambda2 did not converge in {sd.iterations} Lanczos steps; "
+                    f"alpha uses the estimate lambda2 = {sd.lambda2!r}"
+                )
+            lower = len(g.gens) * (1.0 - sd.lambda2) / 2.0
+            self.alpha = lower / 4.0 if lower > 0 else 1e-9  # the floor: no spectral gap
 
 
 def _keep_best_per_fiber(pair_idx: np.ndarray, fiber: np.ndarray, value: np.ndarray) -> np.ndarray:

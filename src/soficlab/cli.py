@@ -85,8 +85,9 @@ def build_parser() -> argparse.ArgumentParser:
     ch = sub.add_parser("cheeger", help="exact Cheeger constant or spectral interval")
     ch.add_argument("graph", type=Path)
     ch.add_argument("--exact-limit", type=int, default=EXHAUSTIVE_LIMIT)
-    ch.add_argument("--tol", type=float, default=1e-10)
-    ch.add_argument("--max-iter", type=int, default=10000)
+    ch.add_argument("--tol", type=float, default=1e-10,
+                    help="stop the Lanczos steps once the lambda2 estimate moves less than this between checks")
+    ch.add_argument("--max-iter", type=int, default=10000, help="most Lanczos steps for lambda2")
     ch.add_argument("-o", "--output", type=Path)
     _add_common(ch)
 

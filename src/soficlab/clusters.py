@@ -94,8 +94,8 @@ def _check_delta_maps(g: LabeledGraph, delta: float, maps: list[VertexMap], requ
 def dichotomy_check(g: LabeledGraph, delta: float, maps: list[VertexMap], h: float) -> DichotomyReport:
     """Every pair of delta-almost automorphisms must satisfy
     d <= 2*delta*n/h or d >= n - 2*delta*n/h; returns the violating pairs."""
-    if h <= 0:
-        raise NonPositiveCheeger("the dichotomy bound is vacuous for h <= 0")
+    if not 0 < h < math.inf:  # NaN fails too
+        raise NonPositiveCheeger(f"the dichotomy bound needs a positive finite h, got {h}")
     _check_delta_maps(g, delta, maps, require_bijective=False)
     n = g.n
     thr = 2.0 * delta * n / h
@@ -490,6 +490,8 @@ def lef_certificate(
     multiplication matches word concatenation.
     """
     _check_delta(delta)
+    if not f_words:
+        raise ValueError("word list must be nonempty")
     if isinstance(gamma_labels, GeneratorSet):
         gamma = gamma_labels
     else:

@@ -1,10 +1,17 @@
 """Cheeger constants of labeled graphs.
 
 Exact values come from exhaustive subset search (vectorized dynamic
-programming over bitmasks), estimates from the averaging operator
-``M = (1/|S|) * sum_s action(s)``: its second eigenvalue yields the standard
-d-regular lower bound ``d * (1 - lambda2) / 2`` and a sweep cut over the
-near-eigenvector certifies an upper bound.
+programming over bitmasks), intervals from the averaging operator
+``M = (1/|S|) * sum_s action(s)``, symmetric because the symbols are closed
+under inverses.  Lanczos estimates its second eigenvalue lambda2, and a sweep
+cut over the Ritz vector gives an upper bound witnessed by a set.  The lower
+bound is the d-regular Cheeger inequality ``h >= d (1 - lambda2) / 2``, used
+only with lambda2 < mu proven for some mu: by Rump's theorem (BIT 46, 2006), a
+floating-point Cholesky factorisation of the exactly representable
+``tau I - K + c J`` that runs to completion proves the matrix positive
+definite once the diagonal is shifted by
+``gamma_{n+1} / (1 - 2 gamma_{n+1}) * trace + O(n^2) * 2**-1074``,
+``gamma_{n+1} = (n+1) 2**-53 / (1 - (n+1) 2**-53)``; see :func:`cheeger_bounds`.
 """
 
 from __future__ import annotations
@@ -14,6 +21,7 @@ import os
 import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 
@@ -21,10 +29,21 @@ from .core_graph import LabeledGraph, VertexSet, boundary, edge_slots
 from .errors import DegenerateVector, LengthMismatch, TooLargeForExhaustive
 
 EXHAUSTIVE_LIMIT = 24
-# Slack (per unit degree) subtracted from the spectral lower bound so that
-# finite-precision Rayleigh quotients cannot push it above the true constant
-# on spectrally tight graphs.
-LOWER_BOUND_GUARD = 1e-9
+# Largest n for which cheeger_bounds runs the Cholesky certificate: one dense
+# n x n factorisation, ~1.5 s and 256 MB at n = 4096.
+CERTIFY_LIMIT = 4096
+
+# Lanczos: steps between checks of the top Ritz value (and the divisor of the
+# step count that spaces later checks), and the beta below which the Krylov
+# space counts as exhausted (|M| <= 1 and unit vectors set the scale).
+_CHECK_EVERY = 16
+_BREAKDOWN = 1e-12
+_EPS = float(np.finfo(np.float64).eps)
+# The certificate tests mu = estimate + this margin (in units of lambda2) plus
+# twice the rounding shift, so that an accurate estimate factorises.
+_CERTIFY_MARGIN = 2.0**-30
+_UNIT_ROUNDOFF = Fraction(1, 2**53)
+_SMALLEST_SUBNORMAL = Fraction(1, 2**1074)
 
 _CHUNK = 1 << 20
 # average() on (n, n): cells per row block below which threads do not pay,
@@ -42,6 +61,7 @@ class CheegerEstimate:
     value: Fraction | None = None
     lower: float | None = None
     upper: float | None = None
+    lower_certified: bool = False  # intervals: ``lower`` is proven, else it is 0
 
     def as_dict(self) -> dict:
         doc: dict = {"kind": self.kind, "witness": self.witness.indices().tolist()}
@@ -51,6 +71,7 @@ class CheegerEstimate:
         else:
             doc["lower"] = self.lower
             doc["upper"] = self.upper
+            doc["lower_certified"] = self.lower_certified
         return doc
 
 
@@ -168,7 +189,11 @@ def average(g: LabeledGraph, x: np.ndarray) -> np.ndarray:
     """
     actions = g.actions
     if x.ndim == 1:
-        return x.take(actions, axis=0).mean(axis=0)
+        total = x.take(actions[0]).astype(np.float64, copy=False)
+        for p in actions[1:]:
+            total += x.take(p)
+        total /= len(actions)
+        return total
     x = np.ascontiguousarray(x, dtype=np.float64)
     if actions.size * x.shape[0] <= _TILE_CELLS:  # a single tile
         return _average_tile(actions, actions, x)
@@ -236,12 +261,22 @@ def _average_tile(row_actions: np.ndarray, actions: np.ndarray, x: np.ndarray) -
 
 
 def lambda2(g: LabeledGraph, tol: float = 1e-10, max_iter: int = 10000, seed: int = 0) -> SpectralData:
-    """Second-largest eigenvalue of the averaging operator.
+    """Second-largest eigenvalue of the averaging operator, by Lanczos.
 
-    Power iteration runs on the half-lazy operator (I + M)/2, whose spectrum
-    is nonnegative on connected graphs, so the dominant direction of the
-    mean-zero subspace is the second-largest (signed) eigenvalue of M rather
-    than the largest in magnitude.  The mean is subtracted every step.
+    The Lanczos recurrence runs on ``average`` restricted to mean-zero vectors
+    (the mean is subtracted every step), from a random unit vector drawn with
+    ``seed``, without reorthogonalisation: the top Ritz value is an estimate,
+    and :func:`cheeger_bounds` proves its own bound.  It stops when the top
+    eigenvalue of the tridiagonal matrix T changes by less than ``tol``
+    between two checks (every 16 steps, and every 1/16 of the step count
+    beyond 256 steps, so that all checks of a long run cost about as much as
+    16 checks at its full length), when the Krylov space is exhausted (a
+    breakdown, or n - 1 steps), or after ``max_iter`` steps; only the last is
+    ``converged=False``.  ``iterations`` counts the steps.
+
+    Only the three-term coefficients are kept, so memory is O(n + steps): the
+    Ritz vector is rebuilt by running the same recurrence a second time and
+    summing its vectors with the weights of T's top eigenvector.
     """
     n = g.n
     if len(g.gens) == 0:
@@ -249,29 +284,126 @@ def lambda2(g: LabeledGraph, tol: float = 1e-10, max_iter: int = 10000, seed: in
     if n == 1:
         return SpectralData(-1.0, 0, 0.0, True, np.zeros(1))
     rng = np.random.default_rng(seed)
-    v = rng.standard_normal(n)
-    v -= v.mean()
-    v /= np.linalg.norm(v)
-    prev = None
-    lam = 0.0
-    iterations = 0
+    start = rng.standard_normal(n)
+    start -= start.mean()
+    start /= np.linalg.norm(start)
+    alphas: list[float] = []
+    betas: list[float] = []
+    squares: list[float] = []
+    estimate = -1.0  # the spectrum of M lies in [-1, 1]
+    next_check = _CHECK_EVERY
     converged = False
-    for iterations in range(1, max_iter + 1):
-        w = 0.5 * (v + average(g, v))
-        w -= w.mean()
-        rho = float(v @ w)
-        lam = 2.0 * rho - 1.0
-        norm = float(np.linalg.norm(w))
-        if norm < 1e-300:
-            # (I + M)/2 annihilates v: v is an exact eigenvector for -1.
-            return SpectralData(-1.0, iterations, 0.0, True, v)
-        v = w / norm
-        if prev is not None and abs(lam - prev) < tol:
+    for _, alpha, beta in _lanczos_vectors(g, start):
+        alphas.append(alpha)
+        steps = len(alphas)
+        if steps == next_check:
+            previous, estimate = estimate, _top_eigenvalue(alphas, squares, estimate, tol / 4)[0]
+            if estimate - previous < tol:
+                converged = True
+                break
+            next_check += max(_CHECK_EVERY, steps // _CHECK_EVERY)
+        if beta <= _BREAKDOWN or steps >= n - 1:
             converged = True
             break
-        prev = lam
-    residual = float(np.linalg.norm(average(g, v) - lam * v))
-    return SpectralData(lam, iterations, residual, converged, v)
+        if steps >= max_iter:
+            break
+        betas.append(beta)
+        squares.append(beta * beta)
+    theta, above = _top_eigenvalue(alphas, squares, estimate)
+    weights = _top_eigenvector(alphas, betas, above)
+    vector = np.zeros(n)
+    for w, (v, _, _) in zip(weights, _lanczos_vectors(g, start)):
+        vector += w * v
+    vector -= vector.mean()
+    vector /= np.linalg.norm(vector)
+    residual = float(np.linalg.norm(average(g, vector) - theta * vector))
+    return SpectralData(theta, len(alphas), residual, converged, vector)
+
+
+def _lanczos_vectors(g: LabeledGraph, v: np.ndarray):
+    """Lanczos vectors v_1 = ``v`` (unit, mean zero), v_2, ... of ``average``
+    on mean-zero vectors, each with its coefficients (alpha_j, beta_j), where
+    beta_j v_{j+1} = M v_j - alpha_j v_j - beta_{j-1} v_{j-1}.  The sequence
+    ends after a breakdown.  Every run from the same ``v`` yields the same
+    vectors bit for bit; a yielded vector is overwritten two steps later."""
+    v = v.copy()
+    prev = np.zeros_like(v)
+    beta = 0.0
+    while True:
+        w = average(g, v)
+        prev *= beta
+        w -= prev
+        alpha = float(w @ v)
+        w -= alpha * v
+        w -= w.mean()
+        beta = float(np.linalg.norm(w))
+        yield v, alpha, beta
+        if beta <= _BREAKDOWN:
+            return
+        w /= beta
+        prev, v = v, w
+
+
+def _top_eigenvalue(a: list[float], bb: list[float], lo: float, precision: float = 0.0) -> tuple[float, float]:
+    """Largest eigenvalue of the symmetric tridiagonal matrix T with
+    diagonal ``a`` and squared off-diagonal ``bb``, bracketed as (lo, hi):
+    hi lies above every eigenvalue in the computed Sturm sequence (every
+    LDL^T pivot of T - hi I is negative), lo does not, and hi - lo is at most
+    ``precision`` or a few ulps.
+
+    The search gallops upward from the estimate ``lo``, in practice the top
+    eigenvalue of a leading block of T (a lower bound by Cauchy interlacing),
+    in steps growing 4x from ``precision``, then bisects the last step; so
+    its cost grows with the log of how far the eigenvalue moved."""
+    while _above_all(a, bb, lo):  # an estimate above the eigenvalue
+        lo -= 1.0
+    step = max(precision, _EPS * max(1.0, abs(lo)))
+    hi = lo + step
+    while not _above_all(a, bb, hi):
+        lo, step = hi, 4 * step
+        hi = lo + step
+    while hi - lo > max(precision, 2 * _EPS * max(1.0, abs(lo), abs(hi))):
+        mid = 0.5 * (lo + hi)
+        if _above_all(a, bb, mid):
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
+
+
+def _above_all(a: list[float], bb: list[float], x: float) -> bool:
+    """Whether every LDL^T pivot of T - x I is negative (Sturm count 0
+    above x), T with diagonal ``a`` and squared off-diagonal ``bb``."""
+    d = a[0] - x
+    if d >= 0.0:
+        return False
+    for ai, bi in zip(islice(a, 1, None), bb):
+        d = ai - x - bi / d
+        if d >= 0.0:
+            return False
+    return True
+
+
+def _top_eigenvector(a: list[float], b: list[float], sigma: float) -> list[float]:
+    """Unit top eigenvector of the tridiagonal T (diagonal ``a``,
+    off-diagonal ``b``) by two steps of inverse iteration from the all-ones
+    vector with the shift ``sigma`` above every eigenvalue, so that
+    sigma I - T is positive definite and its LDL^T factorisation needs no
+    pivoting."""
+    m = len(a)
+    d = [sigma - a[0]]
+    for i in range(1, m):
+        d.append(sigma - a[i] - b[i - 1] * b[i - 1] / d[i - 1])
+    y = [1.0] * m
+    for _ in range(2):
+        for i in range(1, m):  # L z = y, L unit lower bidiagonal with -b/d
+            y[i] += b[i - 1] / d[i - 1] * y[i - 1]
+        y[m - 1] /= d[m - 1]
+        for i in range(m - 2, -1, -1):  # D L^T y = z
+            y[i] = y[i] / d[i] + b[i] / d[i] * y[i + 1]
+        norm = math.sqrt(math.fsum(x * x for x in y))
+        y = [x / norm for x in y]
+    return y
 
 
 def prefix_boundary_counts(g: LabeledGraph, order: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -363,20 +495,41 @@ def sweep_cut(g: LabeledGraph, vec) -> tuple[VertexSet, float]:
 
 
 def cheeger_bounds(g: LabeledGraph, sd: SpectralData) -> CheegerEstimate:
-    """Certified interval: spectral lower bound, sweep-cut upper bound.
+    """Certified interval: a proven spectral lower bound and a sweep-cut
+    upper bound, so the interval always contains the exact constant.
 
-    The lower bound carries a small numerical slack (and drops to 0 when the
-    iteration did not converge); the upper bound is witnessed by an explicit
-    set, so the interval always contains the exact constant.
+    The upper bound is witnessed by an explicit set (the better of the sweep
+    cut of ``sd.vector`` and a single vertex, and at most the degree d).
+
+    The lower bound is d (1 - lambda2) / 2 only where lambda2 < mu is proven,
+    for mu a dyadic rational just above ``sd.lambda2``; otherwise it is 0 and
+    ``lower_certified`` is false.  The proof (for n <= CERTIFY_LIMIT) is a
+    floating-point Cholesky factorisation of the exactly representable
+    matrix ``A~ = tau I - K + c J``: K is the integer adjacency-count matrix
+    (``K[v, s.v] += 1`` per symbol, symmetric because the symbols are closed
+    under inverses), J the all-ones matrix and c a power of two with
+    c n > d - tau, which lifts the eigenvalue of the constant vector.  By
+    Rump's theorem (S. M. Rump, "Verification of positive definiteness",
+    BIT 46 (2006) 433-452), a factorisation that runs to completion proves
+    ``A~ + s I`` positive definite for the shift
+    ``s = gamma_{n+1} / (1 - 2 gamma_{n+1}) * trace(A~) + 4 (2 (n+1) + max diag(A~)) * eta``
+    with ``gamma_{n+1} = (n+1) u / (1 - (n+1) u)``, u = 2**-53 and
+    eta = 2**-1074 for underflow; the shift used here has the same first term
+    and the larger underflow term ``4 n (n+1) (1 + max diag(A~)) * eta``.  With d mu = tau + s, every
+    eigenvalue d mu - d lambda_i (i >= 2) of ``A~ + s I`` on the mean-zero
+    vectors is positive, so lambda2 < mu and h >= d (1 - mu) / 2, rounded
+    down.  An estimate that is too low makes the factorisation fail, never
+    the bound too high.
     """
     n = g.n
     if n < 2:
         raise ValueError("Cheeger bounds need at least 2 vertices")
     d = len(g.gens)
-    if sd.converged:
-        lower = max(0.0, d * (1.0 - sd.lambda2) / 2.0 - d * LOWER_BOUND_GUARD)
-    else:
-        lower = 0.0
+    lower, certified = 0.0, False
+    if n <= CERTIFY_LIMIT:
+        mu = _prove_lambda2_below(g, sd.lambda2)
+        if mu is not None and mu < 1:
+            lower, certified = _float_below(d * (1 - mu) / 2), True
     singleton = VertexSet.from_indices(n, [0])
     best_set, best_ratio = singleton, float(boundary(g, singleton)[0])
     try:
@@ -386,5 +539,45 @@ def cheeger_bounds(g: LabeledGraph, sd: SpectralData) -> CheegerEstimate:
     except DegenerateVector:
         pass
     upper = min(float(d), best_ratio)
-    lower = min(lower, upper)
-    return CheegerEstimate(kind="interval", witness=best_set, lower=lower, upper=upper)
+    return CheegerEstimate(
+        kind="interval", witness=best_set, lower=lower, upper=upper, lower_certified=certified
+    )
+
+
+def _prove_lambda2_below(g: LabeledGraph, estimate: float) -> Fraction | None:
+    """A dyadic mu with lambda2 < mu, proven by the Cholesky certificate of
+    :func:`cheeger_bounds`, for mu just above ``estimate``; None when the
+    factorisation fails or the estimate is not finite."""
+    if not math.isfinite(estimate):
+        return None
+    n, d = g.n, len(g.gens)
+    # every entry of A~ is a multiple of 2**-q below 2**(52 - q) in magnitude,
+    # hence exact in float64
+    q = 52 - (16 * d + 16).bit_length()
+    gamma = (n + 1) * _UNIT_ROUNDOFF / (1 - (n + 1) * _UNIT_ROUNDOFF)
+    rounding = gamma / (1 - 2 * gamma)
+    trace_k = int(np.count_nonzero(g.actions == np.arange(n)))
+    t = Fraction(d * estimate) + Fraction(d * _CERTIFY_MARGIN)  # d mu before the shift
+    if t >= d:
+        return None
+    c = Fraction(2) ** max(-q, math.ceil(math.log2(2 * (d - t) / n)))
+    t += 2 * rounding * max(0, n * (abs(t) + c) - trace_k)
+    t = Fraction(math.ceil(t * 2**q), 2**q)
+    shift = rounding * max(0, n * (t + c) - trace_k)
+    shift += 4 * n * (n + 1) * (1 + abs(t) + c) * _SMALLEST_SUBNORMAL
+    tau = Fraction(math.floor((t - shift) * 2**q), 2**q)
+    a = np.full((n, n), float(c))
+    for p in g.actions:
+        np.subtract.at(a, (np.arange(n), p), 1.0)
+    a[np.diag_indices(n)] += float(tau)
+    try:
+        np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return None
+    return t / d
+
+
+def _float_below(x: Fraction) -> float:
+    """The largest float not above ``x``."""
+    f = float(x)
+    return f if Fraction(f) <= x else math.nextafter(f, -math.inf)

@@ -64,6 +64,20 @@ def test_cheeger_interval_above_limit(tmp_path):
     assert doc["lower"] <= doc["upper"]
 
 
+@pytest.mark.parametrize("d", range(5, 11))
+def test_cheeger_interval_is_certified_on_hypercubes(tmp_path, d):
+    # Cay(Z2^d) is the d-cube Q_d, where h = 1 = d (1 - lambda2) / 2 exactly
+    g = tmp_path / "g.json"
+    assert run(["gen", "cayley", "--group", "x".join(["z2"] * d), "-o", str(g)]) == 0
+    for tol in ("1e-4", "1e-6"):
+        out = tmp_path / f"cheeger-{tol}.json"
+        assert run(["cheeger", str(g), "--tol", tol, "-o", str(out)]) == 0
+        doc = read_json(out)
+        assert doc["kind"] == "interval"
+        assert doc["lower_certified"] is True and doc["converged"] is True
+        assert 1 - 1e-6 <= doc["lower"] <= 1 <= doc["upper"]
+
+
 def test_sofic_subcommand_with_word_file(tmp_path):
     g = tmp_path / "g.json"
     run(["gen", "cayley", "--group", "z6", "--gens", "1,5", "-o", str(g)])
@@ -259,4 +273,24 @@ def test_non_finite_alpha_and_delta_are_domain_errors(tmp_path, capsys):
     for argv in runs:
         assert run(argv + ["-o", str(tmp_path / "out")]) == 1, argv
         assert json.loads(capsys.readouterr().out)["error"]["type"] == "ValueError"
+    assert not list(tmp_path.glob("out*"))
+
+
+@pytest.mark.parametrize("text, error", [("g1 zz\n", "UnknownSymbol"), ("", "ValueError"), ("# a comment\n\n", "ValueError")])
+def test_word_file_errors_are_json_documents(tmp_path, capsys, text, error):
+    g = tmp_path / "g.json"
+    run(["gen", "cayley", "--group", "s3xz4", "-o", str(g)])
+    capsys.readouterr()
+    words = tmp_path / "w.txt"
+    words.write_text(text)
+    runs = [
+        ["sofic", str(g), "--words", str(words)],
+        ["lef-check", str(g), "--gamma", "g8,g12,g16", "--words", str(words), "--delta", "0"],
+    ]
+    for argv in runs:
+        assert run(argv + ["-o", str(tmp_path / "out.json")]) == 1, argv
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["error"]["type"] == error, doc
+        if error == "ValueError":
+            assert doc["error"]["message"] == "word list must be nonempty"
     assert not list(tmp_path.glob("out*"))

@@ -104,6 +104,15 @@ def test_dichotomy_reports_violations():
     assert report.violations == [(0, 1, 5)]
 
 
+@pytest.mark.parametrize("h", [float("nan"), float("inf")])
+def test_dichotomy_refuses_non_finite_h(h):
+    # with h = 1 this pair is the violation (0, 1, 5); NaN used to hide it
+    g = two_cycles(5)
+    half_turn = VertexMap(list(range(5)) + [6, 7, 8, 9, 5])
+    with pytest.raises(NonPositiveCheeger, match="positive finite"):
+        dichotomy_check(g, 0.0, [VertexMap.identity(10), half_turn], h=h)
+
+
 def test_cluster_maps_translations_are_singletons():
     table, gens = groups.preset_group("s3")
     g = cayley_graph(table, gens)

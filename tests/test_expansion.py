@@ -1,3 +1,7 @@
+import dataclasses
+import json
+import time
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -10,6 +14,7 @@ from soficlab import GeneratorSet, VertexSet, boundary, cayley_graph, make_label
 from soficlab.errors import DegenerateVector, TooLargeForExhaustive
 from soficlab import expansion
 from soficlab.expansion import (
+    SpectralData,
     average,
     cheeger_bounds,
     cheeger_exact,
@@ -128,6 +133,60 @@ def test_lambda2_matches_dense_solver(rng):
         assert abs(sd.lambda2 - eigs[-2]) < 1e-6
 
 
+def test_lambda2_matches_dense_solver_past_the_checks():
+    # long enough runs that the stopping rule, not the Krylov dimension, ends them
+    for n, seed in ((300, 1), (600, 2)):
+        g = random_permutation_model(n, 2, seed=seed)
+        sd = lambda2(g)
+        assert sd.converged and sd.iterations < n - 1
+        assert abs(sd.lambda2 - dense_averaging_eigs(g)[-2]) < 1e-9
+        assert sd.residual < 1e-4
+
+
+def test_lambda2_converged_is_a_python_bool():
+    g = random_permutation_model(200, 2, seed=3)
+    for sd in (lambda2(g), lambda2(g, max_iter=5), lambda2(cycle_graph(6))):
+        assert type(sd.converged) is bool
+        assert type(sd.iterations) is int and type(sd.lambda2) is float
+        json.dumps({"converged": sd.converged, "iterations": sd.iterations})
+    assert lambda2(g, max_iter=5).iterations == 5
+
+
+def test_tridiagonal_top_eigenpair_matches_eigh(rng):
+    for m in (1, 2, 5, 40, 200):
+        a = rng.uniform(-1, 1, m).tolist()
+        b = rng.uniform(0, 1, m - 1).tolist()
+        t = np.diag(a) + np.diag(b, 1) + np.diag(b, -1)
+        vals, vecs = np.linalg.eigh(t)
+        for start in (-1.0, vals[-1] - 0.25, vals[-1] + 0.25):
+            lo, hi = expansion._top_eigenvalue(a, [x * x for x in b], start)
+            assert lo <= hi and abs(lo - vals[-1]) < 1e-13
+        y = np.array(expansion._top_eigenvector(a, b, hi))
+        assert abs(abs(float(y @ vecs[:, -1])) - 1.0) < 1e-9
+
+
+def test_lambda2_memory_and_time_on_a_long_cycle():
+    # lambda2 = cos(2 pi / n) is 5e-8 below 1: the run takes all max_iter
+    # steps.  The cycle is built from its rotations: cycle_graph would build
+    # an n x n Cayley table.
+    n = 20000
+    step = np.roll(np.arange(n), -1)
+    g = make_labeled_graph(n, GeneratorSet.from_pairs([("a", "A")]), [step, np.argsort(step)])
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        sd = lambda2(g, max_iter=10000)
+        elapsed = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (sd.iterations, sd.converged) == (10000, False)
+    assert abs(sd.lambda2 - np.cos(2 * np.pi / n)) < 1e-9
+    # a stored basis would take 10000 n floats (1.6 GB); O(n) is a few vectors
+    assert peak < 32 * 8 * n, f"peak {peak} bytes"
+    assert elapsed < 10.0, f"{elapsed:.1f} s"
+
+
 def test_cheeger_bounds_c6():
     g = cycle_graph(6)
     est = cheeger_bounds(g, lambda2(g))
@@ -157,9 +216,35 @@ def test_sandwich_on_random_corpus(rng):
         g = random_connected_graph(rng, n)
         exact = cheeger_exact(g)
         interval = cheeger_bounds(g, lambda2(g))
+        assert interval.lower_certified
         assert interval.lower <= exact.value, (interval.lower, exact.value)
         upper = Fraction(boundary(g, interval.witness)[0], interval.witness.cardinality)
         assert exact.value <= upper
+
+
+def test_cheeger_bounds_refuses_an_estimate_below_lambda2():
+    # K4 and Q6 meet the spectral bound with equality: a lambda2 too low by
+    # 1e-3 would put the old lower bound above h
+    for g, h in (
+        (cayley_graph(groups.cyclic_table(4), [1, 2, 3]), 2.0),
+        (cayley_graph(*groups.preset_group("z2xz2xz2xz2xz2xz2")), 1.0),
+    ):
+        sd = lambda2(g)
+        good = cheeger_bounds(g, sd)
+        assert good.lower_certified and h - 1e-6 <= good.lower <= h
+        low = cheeger_bounds(g, dataclasses.replace(sd, lambda2=sd.lambda2 - 1e-3))
+        assert not low.lower_certified and low.lower == 0.0
+        assert low.as_dict()["lower_certified"] is False
+
+
+def test_cheeger_bounds_above_the_certify_limit(monkeypatch):
+    g = random_permutation_model(64, 2, seed=5)
+    sd = lambda2(g)
+    assert cheeger_bounds(g, sd).lower_certified
+    monkeypatch.setattr(expansion, "CERTIFY_LIMIT", 63)
+    est = cheeger_bounds(g, sd)
+    assert (est.lower, est.lower_certified) == (0.0, False)
+    assert est.upper == cheeger_bounds(g, sd).upper
 
 
 def test_sweep_cut_c6_prefix():

@@ -165,3 +165,15 @@ def test_words_text_round_trip():
         Word((), False),
     ]
     assert parse_words_text(format_words_text(words)) == words
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.text(alphabet=st.sampled_from(list("ab!#() \t\n\r\x0b\x1c\u2028é")), max_size=60))
+def test_words_text_fuzz_parses_to_a_fixed_point(text):
+    # every line is a word, a comment or blank: parsing never fails, and
+    # formatting the words and parsing again gives the same words
+    words = parse_words_text(text)
+    for w in words:
+        assert all(letter and not any(ch.isspace() for ch in letter) for letter in w.letters)
+        assert w.letters != ("()",)
+    assert parse_words_text(format_words_text(words)) == words
