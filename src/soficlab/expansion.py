@@ -312,8 +312,8 @@ def lambda2(g: LabeledGraph, tol: float = 1e-10, max_iter: int = 10000, seed: in
     theta, above = _top_eigenvalue(alphas, squares, estimate)
     weights = _top_eigenvector(alphas, betas, above)
     vector = np.zeros(n)
-    for w, (v, _, _) in zip(weights, _lanczos_vectors(g, start)):
-        vector += w * v
+    for y, (v, _, _) in zip(weights, _lanczos_vectors(g, start)):
+        vector += y * v
     vector -= vector.mean()
     vector /= np.linalg.norm(vector)
     residual = float(np.linalg.norm(average(g, vector) - theta * vector))
@@ -325,7 +325,8 @@ def _lanczos_vectors(g: LabeledGraph, v: np.ndarray):
     on mean-zero vectors, each with its coefficients (alpha_j, beta_j), where
     beta_j v_{j+1} = M v_j - alpha_j v_j - beta_{j-1} v_{j-1}.  The sequence
     ends after a breakdown.  Every run from the same ``v`` yields the same
-    vectors bit for bit; a yielded vector is overwritten two steps later."""
+    vectors bit for bit; a yielded vector is overwritten once the next one
+    is requested."""
     v = v.copy()
     prev = np.zeros_like(v)
     beta = 0.0
