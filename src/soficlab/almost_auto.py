@@ -194,6 +194,10 @@ class ImprovementWorkspace:
         self.good = good_vertices(g, reference)
         if cfg.alpha is not None:
             self.alpha = cfg.alpha
+        elif not is_connected(g):
+            # lambda2 is exactly 1, so there is no spectral gap; its estimate
+            # lands within rounding of 1 on either side
+            self.alpha = 1e-9
         else:
             sd = lambda2(g, tol=1e-10, max_iter=10000, seed=0)
             if not sd.converged:

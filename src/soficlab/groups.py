@@ -20,7 +20,8 @@ import numpy as np
 
 def cyclic_table(n: int) -> np.ndarray:
     i = np.arange(n)
-    return (i[:, None] + i[None, :]) % n
+    table = np.add.outer(i, i)  # the only n x n allocation
+    return np.remainder(table, n, out=table)
 
 
 def symmetric_elements(k: int) -> list[tuple[int, ...]]:

@@ -11,13 +11,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from soficlab import GeneratorSet, LabeledGraph, cayley_graph, make_labeled_graph
+from soficlab import GeneratorSet, LabeledGraph, make_labeled_graph
 from soficlab.core_graph import is_simple
-from soficlab import groups
 
 
 def cycle_graph(n: int, names=("a", "A")) -> LabeledGraph:
-    return cayley_graph(groups.cyclic_table(n), [1, n - 1], symbol_names=list(names))
+    """Cay(Z_n, {1, -1}) for n >= 3, built from its two rotations without a table."""
+    ident = np.arange(n)
+    return make_labeled_graph(n, GeneratorSet.from_pairs([tuple(names)]), [np.roll(ident, -1), np.roll(ident, 1)])
 
 
 def two_cycles(n: int) -> LabeledGraph:

@@ -28,11 +28,12 @@ from soficlab.almost_auto import (
     parse_map_text,
 )
 from soficlab.errors import InvalidMapFile, LengthMismatch, NotBijective, SoficlabError
+from soficlab.core_graph import is_connected, restrict_labels, subset_of_generators
 from soficlab.expansion import cheeger_exact
 from soficlab.sofic import random_permutation_model
 from soficlab import groups
 
-from conftest import cycle_graph, random_connected_graph, random_simple_graph
+from conftest import cycle_graph, random_connected_graph, random_simple_graph, two_cycles
 
 
 def slow_bad_edges(g, images):
@@ -410,7 +411,9 @@ def test_improve_corpus_matches_the_pinned_digest():
     # smoothing; the certified top-K sweep and the row blocks must not move
     # a bit of any map or trace.  Re-pinned for the Lanczos lambda2, which
     # moved only the traces' alpha: every improved map stayed bit-identical.
-    assert improve_corpus_digest(improve_corpus()) == "ca0ac8d6a87e12c2807882b52843085aaaba71678e1fd8ea732a55d63261c783"
+    # Re-pinned again when disconnected graphs got the 1e-9 alpha floor: only
+    # the two-component involution model's alpha moved (4.16e-16 -> 1e-9).
+    assert improve_corpus_digest(improve_corpus()) == "0d1aa00433f6296f9d349e424ac14620e3901d1d87b3c3f9ead786b9af5a0a51"
 
 
 @pytest.mark.filterwarnings("ignore:graph of the map misses the good set")
@@ -453,6 +456,26 @@ def test_workspace_alpha_from_an_unconverged_estimate_warns(monkeypatch):
     # the floor is kept for lambda2 >= 1, where there is no spectral gap
     flat = expansion.SpectralData(1.0, 4, 0.0, True, short.vector)
     monkeypatch.setattr(almost_auto, "lambda2", lambda g, **kwargs: flat)
+    assert ImprovementWorkspace(g, ImprovementConfig()).alpha == 1e-9
+
+
+def _s4_labels_of_s4xz5():
+    table, gen_idx = groups.preset_group("s4xz5")
+    g = cayley_graph(table, gen_idx)
+    return restrict_labels(g, subset_of_generators(g, ["g30", "g45", "g90"]))
+
+
+@pytest.mark.parametrize("graph", [lambda: two_cycles(5), lambda: two_cycles(40), _s4_labels_of_s4xz5])
+def test_workspace_alpha_floor_on_disconnected_graphs(graph, monkeypatch):
+    # lambda2 is exactly 1 there; its estimate used to land on either side of
+    # 1 (0.9999999999999996 or 1.0 for Cay(S4 x Z5) on its S4 labels, by seed)
+    g = graph()
+    assert not is_connected(g)
+
+    def no_lambda2(*args, **kwargs):
+        raise AssertionError("lambda2 is not needed on a disconnected graph")
+
+    monkeypatch.setattr(almost_auto, "lambda2", no_lambda2)
     assert ImprovementWorkspace(g, ImprovementConfig()).alpha == 1e-9
 
 

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
 from collections import Counter
 from itertools import permutations
@@ -16,6 +19,7 @@ from soficlab.clusters import (
     _check_associativity_inequality,
     _Closure,
     _locate,
+    _Representatives,
     cluster_group,
     cluster_maps,
     dichotomy_check,
@@ -149,6 +153,68 @@ def test_cluster_maps_validates_preconditions():
         cluster_maps(g, 0.0, [VertexMap([1, 0, 2, 3, 4, 5])])
 
 
+def _reference_violations(maps, in_band):
+    """The double loop over pairs that the vectorised helper replaced."""
+    out = []
+    for i in range(len(maps)):
+        for j in range(i + 1, len(maps)):
+            d = hamming(maps[i], maps[j])
+            if in_band(d):
+                out.append((i, j, d))
+    return out
+
+
+def _reference_cluster_maps(maps, n):
+    """Union-find over the within-n/5 pairs, as before the partition read the
+    first map within n/5 of each map."""
+    parent = list(range(len(maps)))
+
+    def find(a):
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    for i in range(len(maps)):
+        for j in range(i + 1, len(maps)):
+            if 5 * hamming(maps[i], maps[j]) <= n:
+                parent[find(i)] = find(j)
+    groups_: dict[int, list] = {}
+    for i, m in enumerate(maps):
+        groups_.setdefault(find(i), []).append(m)
+    members = [sorted(mem, key=lambda m: m.key()) for mem in groups_.values()]
+    return sorted(([m.key() for m in mem] for mem in members), key=lambda keys: keys[0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_pairwise_helpers_match_the_double_loops(data):
+    # maps scattered around a few centres, some moved into the forbidden band
+    n = data.draw(st.integers(min_value=3, max_value=16))
+    g = cycle_graph(n)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    centres = [rng.permutation(n) for _ in range(data.draw(st.integers(1, 3)))]
+    maps = []
+    for _ in range(data.draw(st.integers(0, 7))):
+        images = centres[int(rng.integers(len(centres)))].copy()
+        moved = rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False)
+        images[moved] = images[rng.permutation(moved)]
+        maps.append(VertexMap(images))
+    if data.draw(st.booleans()) and maps:
+        maps.append(maps[0])  # a duplicate map
+    delta = 2.0 * len(g.gens)  # every map qualifies, so only the distances matter
+    h = 2.0 * delta / data.draw(st.floats(min_value=0.02, max_value=0.6))  # threshold 2 delta n / h
+    report = dichotomy_check(g, delta, maps, h)
+    assert report.violations == _reference_violations(maps, lambda d: report.threshold < d < n - report.threshold)
+    gap = _reference_violations(maps, lambda d: n < 5 * d <= 4 * n)
+    if gap:
+        with pytest.raises(StructureViolation) as exc:
+            cluster_maps(g, delta, maps)
+        assert exc.value.violations == gap
+    else:
+        got = [[m.key() for m in cl.members] for cl in cluster_maps(g, delta, maps)]
+        assert got == _reference_cluster_maps(maps, n)
+
+
 def test_locate_finds_the_single_close_representative():
     reps = np.stack([np.arange(10), np.roll(np.arange(10), 1)])
     near = np.arange(10)
@@ -183,7 +249,7 @@ def test_closure_rejects_improvement_that_moves_too_far():
     closure = _Closure(g, 0.0, ImprovementConfig(), bound=10)
     expected = r"moved a composition by distance 6 > n/5 \(n = 20, n/5 = 4, 4n/5 = 16\)"
     with pytest.raises(HypothesisViolation, match=expected):
-        closure.improved(VertexMap(c))
+        closure.improved_row(c)
 
 
 def test_cluster_group_z5_is_cyclic():
@@ -243,7 +309,7 @@ def test_closure_does_not_cache_failed_improvements():
     closure = _Closure(g, 0.0, ImprovementConfig(), bound=10)
     for _ in range(2):
         with pytest.raises(HypothesisViolation, match="moved a composition"):
-            closure.improved(VertexMap(c))
+            closure.improved_row(c)
     assert closure.memo == {}
     assert (closure.requests, closure.calls) == (2, 2)
 
@@ -255,27 +321,193 @@ def test_closure_bound_raises_closure_failure():
         cluster_group(g, 0.0, label_automorphisms(g), ImprovementConfig(), closure_bound=2)
 
 
+def _improvement(overrides):
+    """A stand-in for the checked improvement: the map itself, unless
+    ``overrides`` (input bytes -> image row, or an exception) says otherwise."""
+
+    def improved(row):
+        out = overrides.get(np.ascontiguousarray(row, dtype=np.int64).tobytes(), row)
+        if isinstance(out, Exception):
+            raise out
+        return np.asarray(out, dtype=np.int64)
+
+    return improved
+
+
+def _index_path(stack, improved):
+    """Table build and associativity inequality as ``cluster_group`` runs them."""
+    reps = _Representatives(stack)
+    prods = reps.products(lambda row: VertexMap(improved(row)))
+    sent = []
+
+    def improve_rows(rows):
+        sent.append(len(rows))
+        return np.array([improved(r) for r in rows], dtype=np.int64).reshape(rows.shape)
+
+    answered = _check_associativity_inequality(reps, prods, improve_rows)
+    return prods.table, sum(sent) + answered
+
+
 def _z2_on_ten_points():
-    """Representatives {id, x -> x+5 mod 10} and their exact product stack."""
+    """Representatives {id, x -> x+5 mod 10}; the product input r0.r1 = r1
+    improves to r1 with points 0 and 1 swapped, which improves to the identity."""
     reps = np.stack([np.arange(10), np.roll(np.arange(10), -5)])
-    products = np.stack([[reps[i][reps[j]] for j in range(2)] for i in range(2)])
-    return reps, products
+    moved = reps[1][[1, 0, *range(2, 10)]]  # r1 . (0 1): within n/5 of r1, not byte-equal
+    return reps, moved
 
 
 def test_associativity_inequality_passes_on_exact_products():
-    reps, products = _z2_on_ten_points()
-    _check_associativity_inequality(reps, products, lambda rows: rows)
+    reps, _ = _z2_on_ten_points()
+    table, requests = _index_path(reps, _improvement({}))
+    assert table.tolist() == [[0, 1], [1, 0]]
+    assert requests == 2 * 2**3  # all answered by index identities
 
 
 def test_associativity_inequality_names_the_first_failing_triple():
-    reps, products = _z2_on_ten_points()
-    products[0, 1] = reps[0]  # claims r0.r1 = r0: a(bc) and (ab)c differ everywhere for (0, 0, 1)
+    reps, moved = _z2_on_ten_points()
+    overrides = {reps[1].tobytes(): moved, moved.tobytes(): reps[0]}
+    # (0, 0, 1): a(bc) improves r0 . P[0, 1] = moved to r0, (ab)c is P[0, 1] = moved,
+    # and the two differ everywhere
     expected = (
         r"associativity inequality fails on triple \(0, 0, 1\) "
         r"\(distance 10 > 4n/5; n = 10, n/5 = 2, 4n/5 = 8\)"
     )
+    improved = _improvement(overrides)
+    _, products = _reference_table(reps, improved)
     with pytest.raises(HypothesisViolation, match=expected):
-        _check_associativity_inequality(reps, products, lambda rows: rows)
+        _reference_associativity(reps, products, lambda rows: np.array([improved(r) for r in rows]))
+    with pytest.raises(HypothesisViolation, match=expected):
+        _index_path(reps, improved)
+
+
+def _reference_table(stack, improved):
+    """Per-product ``_locate`` table build over a k x k x n product stack."""
+    k, n = stack.shape
+    table = np.empty((k, k), dtype=np.int64)
+    products = np.empty((k, k, n), dtype=np.int64)
+    for i in range(k):
+        for j in range(k):
+            products[i, j] = improved(stack[i][stack[j]])
+            idx = _locate(stack, VertexMap(products[i, j]))
+            if idx is None:
+                raise HypothesisViolation("map lies within n/5 of 0 representatives")
+            table[i, j] = idx
+    return table, products
+
+
+def _reference_associativity(reps, products, improve_rows):
+    """The byte-path check: one batch of 2k^2 inputs per a, no index identities."""
+    k, n = reps.shape
+    for a in range(k):
+        left = reps[a][products]  # [b, c] = a . (bc)
+        right = products[a][:, reps]  # [b, c] = (ab) . c
+        both = improve_rows(np.concatenate([left, right]).reshape(2 * k * k, n))
+        dist = np.count_nonzero(both[: k * k] != both[k * k :], axis=-1)
+        failing = np.flatnonzero(5 * dist > 4 * n)
+        if failing.size:
+            b, c = divmod(int(failing[0]), k)
+            raise HypothesisViolation(
+                f"associativity inequality fails on triple {(a, b, c)} "
+                f"(distance {dist[failing[0]]} > 4n/5; n = {n}, n/5 = {n / 5:g}, 4n/5 = {4 * n / 5:g})"
+            )
+
+
+def _outcome(fn):
+    try:
+        return "ok", fn()
+    except HypothesisViolation as exc:
+        return "raises", str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_index_path_matches_the_byte_path(data):
+    # representatives: the left-regular action of a small group on |G| x s
+    # points (pairwise at distance n), or random permutations with a random,
+    # usually non-associative, product table
+    table, _ = groups.preset_group(data.draw(st.sampled_from(["z1", "z2", "z3", "z2xz2", "s3"])))
+    k = len(table)
+    s = data.draw(st.integers(min_value=-(-10 // k), max_value=max(2, 24 // k)))
+    n = k * s  # at least 10, so a transposition stays within n/5
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    stack = np.stack([(table[x][:, None] * s + np.arange(s)).ravel() for x in range(k)])
+    target = table  # the cluster each product input should improve into
+    if data.draw(st.booleans()):
+        scattered = np.stack([rng.permutation(n) for _ in range(k)])
+        if all(5 * hamming(VertexMap(x), VertexMap(y)) > 4 * n for i, x in enumerate(scattered) for y in scattered[:i]):
+            stack, target = scattered, rng.integers(k, size=(k, k))
+
+    def perturbed(row, largest):
+        # row . pi for a cycle pi through 2..largest points
+        points = rng.choice(n, size=int(rng.integers(2, max(2, largest) + 1)), replace=False)
+        pi = np.arange(n)
+        pi[points] = np.roll(points, 1)
+        return row[pi]
+
+    def failure(row):
+        return HypothesisViolation(f"improvement refused {row[:4].tolist()}")
+
+    # each product input improves to its target representative, often moved
+    # within n/5 of it; at most one lands far away or fails
+    overrides = {}
+    for i in range(k):
+        for j in range(k):
+            landing = stack[target[i, j]]
+            overrides[stack[i][stack[j]].tobytes()] = perturbed(landing, n // 5) if data.draw(st.booleans()) else landing
+    i, j = (int(x) for x in rng.integers(k, size=2))
+    spoilt = stack[i][stack[j]]
+    spoil = data.draw(st.sampled_from([None, None, None, "far", "refused"]))
+    if spoil == "far":
+        overrides[spoilt.tobytes()] = perturbed(stack[target[i, j]], n)
+    elif spoil == "refused":
+        overrides[spoilt.tobytes()] = failure(spoilt)
+    improved = _improvement(overrides)
+    reference = _outcome(lambda: _reference_table(stack, improved))
+    index = _outcome(lambda: _Representatives(stack).products(lambda row: VertexMap(improved(row))))
+    if reference[0] == "raises":
+        assert index == reference
+        return
+    ref_table, products = reference[1]
+    assert np.array_equal(index[1].table, ref_table)
+
+    # second-level inputs a.P[b, c] and P[a, b].c that are not table inputs:
+    # send a few far away or make their improvement fail
+    table_inputs = {(x[y]).tobytes() for x in stack for y in stack}
+    for _ in range(data.draw(st.integers(0, 3))):
+        a, b, c = (int(x) for x in rng.integers(k, size=3))
+        row = stack[a][products[b, c]] if data.draw(st.booleans()) else products[a, b][stack[c]]
+        if row.tobytes() in table_inputs:
+            continue
+        kind = data.draw(st.sampled_from(["far", "moved", "moved", "refused"]))
+        if kind == "far":
+            overrides[row.tobytes()] = stack[int(rng.integers(k))]
+        elif kind == "moved":
+            overrides[row.tobytes()] = perturbed(row, n // 5)
+        else:
+            overrides[row.tobytes()] = failure(row)
+    improved = _improvement(overrides)
+    requests = []
+
+    def improve_rows(rows):
+        requests.append(len(rows))
+        return np.array([improved(r) for r in rows], dtype=np.int64).reshape(rows.shape)
+
+    reference = _outcome(lambda: _reference_associativity(stack, products, improve_rows))
+    index = _outcome(lambda: _index_path(stack, improved))
+    if reference[0] == "raises":
+        assert index == reference
+    else:
+        assert index[0] == "ok" and np.array_equal(index[1][0], ref_table)
+        assert index[1][1] == sum(requests) == 2 * k**3
+
+
+def test_representatives_closer_than_4n_over_5_are_refused():
+    near = np.roll(np.arange(10), -5)
+    near[[0, 1, 2, 3]] = near[[1, 0, 3, 2]]  # distance 4 from the half-turn, 10 from the identity
+    stack = np.stack([np.arange(10), np.roll(np.arange(10), -5), near])
+    expected = r"representatives 1 and 2 lie at distance 4 <= 4n/5 \(n = 10, n/5 = 2, 4n/5 = 8\)"
+    with pytest.raises(HypothesisViolation, match=expected):
+        _Representatives(stack)
 
 
 def test_cluster_group_improves_each_distinct_input_once(monkeypatch):
@@ -352,6 +584,49 @@ def test_cluster_group_documents_are_pinned():
     assert hashlib.sha256(s4).hexdigest() == PINNED_S4_SHA256
 
 
+def _sha256(doc) -> str:
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+
+
+def test_cluster_group_on_corrupted_seeds_is_pinned():
+    # every third automorphism of Cay(S4) has two images swapped, so some
+    # representatives are corrupted and the improved products differ from
+    # them byte for byte; sha256 (counters included) computed with the
+    # per-product _locate table and the byte-path associativity check
+    table, gens = groups.preset_group("s4")
+    g = cayley_graph(table, gens)
+    rng = np.random.default_rng(7)
+    seeds = []
+    for i, m in enumerate(label_automorphisms(g)):
+        images = m.images.copy()
+        if i % 3 == 1:
+            a, b = rng.choice(g.n, size=2, replace=False)
+            images[[a, b]] = images[[b, a]]
+        seeds.append(VertexMap(images))
+    cg = cluster_group(g, 0.5, seeds, ImprovementConfig())
+    assert sum(defect_of_map(g, cl.representative).bad_edges > 0 for cl in cg.clusters) == 8
+    doc = cg.as_dict()
+    assert doc["counters"] == {"improve_requests": 28_800, "improve_calls": 611, "closure_rounds": 2}
+    assert _sha256(doc) == "7c941bd8917cc8e1255c0a875eb96996c5271b8ab11d2285101a7be5b845d451"
+
+
+@pytest.mark.parametrize(
+    "name, picks, digest",
+    [
+        ("z7", [1], "18b6f9500985ada116de5e7c8021c0257acdcf9755e08e9e017a5fdae5620bb1"),
+        ("s4", [3, 20, 5], "33283bd4b697df3dc51c1f3c71965f5881e5346b7ac11d045979f40479760bc3"),
+    ],
+)
+def test_closure_grown_from_a_few_seeds_is_pinned(name, picks, digest):
+    # several closure rounds, each adding the products of new representatives
+    # with old ones in both orders; sha256 (counters included) computed with
+    # the per-pair closure loop
+    table, gens = groups.preset_group(name)
+    g = cayley_graph(table, gens)
+    autos = label_automorphisms(g)
+    assert _sha256(cluster_group(g, 0.0, [autos[i] for i in picks], ImprovementConfig()).as_dict()) == digest
+
+
 def test_cluster_group_s5_within_budget():
     start = time.perf_counter()
     table, gens = groups.preset_group("s5")
@@ -362,7 +637,42 @@ def test_cluster_group_s5_within_budget():
     assert (order, abelian) == (120, False)
     assert Counter(element_orders) == {1: 1, 2: 25, 3: 20, 4: 30, 5: 24, 6: 20}
     assert cg.improve_calls == 120
-    assert elapsed < 30.0, f"Cay(S5) cluster group took {elapsed:.1f}s"
+    assert cg.improve_requests == 3_484_800  # 2k^3 + 2k^2 + the closure's k^2
+    assert elapsed < 3.0, f"Cay(S5) cluster group took {elapsed:.1f}s"
+
+
+S6_RUN = """
+import json, resource, time
+from soficlab import cayley_graph, groups
+from soficlab.almost_auto import ImprovementConfig, label_automorphisms
+from soficlab.clusters import cluster_group, group_invariants
+
+start = time.perf_counter()
+table, gens = groups.preset_group("s6")
+g = cayley_graph(table, gens)
+cg = cluster_group(g, 0.0, label_automorphisms(g), ImprovementConfig())
+order, element_orders, abelian = group_invariants(cg)
+print(json.dumps({
+    "order": order, "element_orders": element_orders, "abelian": abelian,
+    "improve_calls": cg.improve_calls, "seconds": time.perf_counter() - start,
+    "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+}))
+"""
+
+
+@pytest.mark.slow
+def test_cluster_group_s6_within_budget():
+    # k = n = 720, in a fresh process so that its peak RSS is this run's alone
+    out = subprocess.run(
+        [sys.executable, "-c", S6_RUN], capture_output=True, text=True, check=True, timeout=600,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    result = json.loads(out.stdout.splitlines()[-1])
+    assert (result["order"], result["abelian"]) == (720, False)
+    assert Counter(result["element_orders"]) == {1: 1, 2: 75, 3: 80, 4: 180, 5: 144, 6: 240}
+    assert result["improve_calls"] == 720
+    assert result["seconds"] < 60.0, f"Cay(S6) cluster group took {result['seconds']:.1f}s"
+    assert result["peak_rss_mb"] < 1536, f"Cay(S6) cluster group peaked at {result['peak_rss_mb']:.0f} MB"
 
 
 def test_group_invariants_examples():

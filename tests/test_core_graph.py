@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 from itertools import permutations
 
 import numpy as np
@@ -48,6 +49,30 @@ def test_make_cycle_graph():
     assert g.n == 3
     assert g.action("a").tolist() == [1, 2, 0]
     assert g.action("A").tolist() == [2, 0, 1]
+
+
+@pytest.mark.parametrize("n", [3, 4, 7, 50])
+def test_cycle_graph_is_the_cayley_graph_of_z_n(n):
+    # the test helper builds the cycle from its two rotations, without a table
+    g = cycle_graph(n)
+    expected = cayley_graph(groups.cyclic_table(n), [1, n - 1], symbol_names=["a", "A"])
+    assert g.gens == expected.gens
+    assert np.array_equal(g.actions, expected.actions)
+
+
+def test_cyclic_table_allocates_one_table():
+    n = 2000
+    tracemalloc.start()
+    try:
+        table = groups.cyclic_table(n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert table.shape == (n, n) and table.dtype == np.int64
+    assert np.array_equal(table[7], np.roll(np.arange(n), -7))
+    assert np.array_equal(table[:, n - 1], np.roll(np.arange(n), 1))
+    # one n^2 int64 array (32 MB); two n x n temporaries would peak at 64 MB
+    assert peak < 1.1 * n * n * 8, f"peak {peak} bytes"
 
 
 def test_make_rejects_duplicate_image():
