@@ -9,28 +9,33 @@ that group is exactly a LEF certificate.
 Distance thresholds are compared in exact integer arithmetic
 (``5*d <= n`` for "within n/5" and ``n < 5*d <= 4*n`` for the forbidden band).
 
-The cluster closure asks for the improvement of the same few maps many times
+Every distinct map that one ``cluster_group`` call meets (seeds, inverses and
+improvements) is interned once as an integer id, its row in the closure's
+``pool``; clusters are lists of ids and each id caches its cluster.  The
+cluster closure asks for the improvement of the same few maps many times
 (28,800 requests on 24 distinct maps for Cay(S4)), so ``_Closure`` memoises
-``improve`` by the bytes of the input map.  The memo is exact: ``improve`` is
-deterministic for a fixed graph, config and workspace, and all three are
-fixed for the lifetime of one ``_Closure``, i.e. one ``cluster_group`` call.
-Only improvements that passed both hypothesis checks are stored, so a failing
-input raises again each time it is requested.  Warnings of ``improve`` (such
-as "graph of the map misses the good set") fire once per distinct input, not
-once per request.
+the id of the checked improvement by the bytes of the input map.  The memo is
+exact: ``improve`` is deterministic for a fixed graph, config and workspace,
+and all three are fixed for the lifetime of one ``_Closure``, i.e. one
+``cluster_group`` call.  Only improvements that passed both hypothesis checks
+are stored, so a failing input raises again each time it is requested.
+Warnings of ``improve`` (such as "graph of the map misses the good set") fire
+once per distinct input, not once per request.
 
-The table and the associativity inequality work on indices into the k x n
-stack of final representatives.  Write P[i, j] for the improved product of
-representatives i and j and t for the table.  Where P[b, c] is byte-equal to
-representative t[b, c], the input of a.(bc) is the product input of
-(a, t[b, c]), so its improvement is P[a, t[b, c]] without a request to the
-memo; likewise (ab).c is P[t[a, b], c] where P[a, b] is byte-equal to its
-representative.  Between two representatives the distance is read off the
-k x k distance matrix.  Only products that differ from their representative
-are kept as rows, so no k x k x n array is formed.  The memo holds one map of
-n ints per distinct input: at most 2k^2 + 2km for k clusters, m of whose k^2
-products differ from their representative (closure products, table products
-and the inequality's inputs); 24 on Cay(S4), where m = 0.
+The table and the associativity inequality work on ids.  Write P[i, j] for
+the id of the improved product of representatives i and j and t for the
+table.  Where P[b, c] is the id of representative t[b, c], the input of
+a.(bc) is the product input of (a, t[b, c]), so its improvement is
+P[a, t[b, c]] without a request to the memo; likewise (ab).c is
+P[t[a, b], c] where P[a, b] is the id of its representative.  Equal ids are
+the same map, at distance 0; only pairs of differing ids are compared row by
+row, so no k x k x n array is formed.  The memo keys hold n ints per
+distinct input: at most 2k^2 + 2km for k clusters, m of whose k^2 products
+are not their representative (closure products, table products and the
+inequality's inputs).  The pool holds n ints per distinct map: the seeds,
+the inverses of the closure's and of the final representatives (at most 2k),
+the identity and the distinct improvements.  On Cay(S4) both hold 24; on the
+pinned corrupted Cay(S4) document the memo holds 611 and the pool 40.
 """
 
 from __future__ import annotations
@@ -182,12 +187,13 @@ def _thresholds(n: int) -> str:
     return f"n = {n}, n/5 = {n / 5:g}, 4n/5 = {4 * n / 5:g}"
 
 
-def _locate(reps: np.ndarray, m: VertexMap) -> int | None:
-    """Row of the k x n representative stack within n/5 of ``m``, or None.
+def _locate(reps: np.ndarray, row: np.ndarray) -> int | None:
+    """Row of the k x n representative stack within n/5 of the image row
+    ``row``, or None.
     Raises HypothesisViolation when two rows are that close or a distance
     falls in the forbidden band (n/5, 4n/5]."""
     n = reps.shape[1]
-    dist = _distances(m.images[None, :], reps)[0]
+    dist = _distances(row[None, :], reps)[0]
     hits = np.flatnonzero(5 * dist <= n)
     if hits.size > 1:
         i, j = hits[:2]
@@ -240,97 +246,113 @@ class ClusterGroup:
         }
 
 
+def _checked_improvement(g: LabeledGraph, delta: float, cfg: ImprovementConfig):
+    """The improvement of an int64 image row, as an image row, under the two
+    hypothesis checks: at most delta*n bad edges left, moved by at most n/5.
+    A failing check raises HypothesisViolation."""
+    ws = ImprovementWorkspace(g, cfg)
+    n = g.n
+
+    def improved(row: np.ndarray) -> np.ndarray:
+        out, trace = improve(g, VertexMap(row), cfg, workspace=ws)
+        bad = trace.final.bad_edges
+        if bad > delta * n:
+            raise HypothesisViolation(f"improvement left {bad} bad edges, above delta*n = {delta * n:g}")
+        if 5 * trace.hamming_moved > n:
+            raise HypothesisViolation(
+                f"improvement moved a composition by distance {trace.hamming_moved} > n/5 ({_thresholds(n)})"
+            )
+        return out.images
+
+    return improved
+
+
 class _Closure:
     """Grows the cluster family until it is closed under product and inverse.
 
-    Improvements are memoised by input bytes for the lifetime of the object;
-    see the module docstring for why that is exact.
+    Every distinct map gets one id, its row in ``pool``.  ``improved`` is the
+    checked improvement of an image row; its results are memoised by input
+    bytes for the lifetime of the object, see the module docstring for why
+    that is exact.  Clusters are lists of ids.
     """
 
-    def __init__(self, g: LabeledGraph, delta: float, cfg: ImprovementConfig, bound: int):
-        self.g = g
-        self.n = g.n
-        self.delta = delta
-        self.cfg = cfg
-        self.ws = ImprovementWorkspace(g, cfg)
+    def __init__(self, n: int, improved, bound: int):
+        self.n = n
+        self.improved = improved
         self.bound = bound
-        self.members: list[list[VertexMap]] = []
-        self.reps: list[VertexMap] = []
-        self.stack = np.empty((0, self.n), dtype=np.int64)  # reps as rows
-        self.by_key: dict[bytes, int] = {}  # bytes of every placed map -> cluster
-        self.memo: dict[bytes, VertexMap] = {}  # input bytes -> checked improvement
+        self.pool = np.empty((16, n), dtype=np.int64)  # rows [0, len(ids)) are maps
+        self.ids: dict[bytes, int] = {}  # map bytes -> id
+        self.memo: dict[bytes, int] = {}  # input bytes -> id of its checked improvement
+        self.cluster: list[int] = []  # cluster of each id, -1 until placed
+        self.members: list[list[int]] = []
+        self.stack = np.empty((0, n), dtype=np.int64)  # first member of each cluster
         self.requests = 0
         self.calls = 0
         self.rounds = 0
 
-    def _improved(self, key: bytes) -> VertexMap:
-        """Checked improvement of the map whose int64 images are ``key``."""
-        out = self.memo.get(key)
-        if out is not None:
-            return out
-        self.calls += 1
-        m = VertexMap(np.frombuffer(key, dtype=np.int64))
-        out, trace = improve(self.g, m, self.cfg, workspace=self.ws)
-        bad = trace.final.bad_edges
-        if bad > self.delta * self.n:
-            raise HypothesisViolation(
-                f"improvement left {bad} bad edges, above delta*n = {self.delta * self.n:g}"
-            )
-        if 5 * trace.hamming_moved > self.n:
-            raise HypothesisViolation(
-                f"improvement moved a composition by distance {trace.hamming_moved} > n/5 "
-                f"({_thresholds(self.n)})"
-            )
-        self.memo[key] = out
-        return out
+    def intern(self, row: np.ndarray) -> int:
+        """Id of the map with int64 images ``row``."""
+        key = row.tobytes()
+        i = self.ids.get(key)
+        if i is None:
+            i = self.ids[key] = len(self.ids)
+            if i == len(self.pool):
+                grown = np.empty((2 * i, self.n), dtype=np.int64)
+                grown[:i] = self.pool
+                self.pool = grown
+            self.pool[i] = row
+            self.cluster.append(-1)
+        return i
 
-    def improved_row(self, row: np.ndarray) -> VertexMap:
-        """Checked improvement of the map with int64 images ``row``."""
+    def _improved(self, key: bytes) -> int:
+        i = self.memo.get(key)
+        if i is None:
+            self.calls += 1
+            i = self.memo[key] = self.intern(self.improved(np.frombuffer(key, dtype=np.int64)))
+        return i
+
+    def improved_row(self, row: np.ndarray) -> int:
+        """Id of the checked improvement of the map with int64 images ``row``."""
         self.requests += 1
         return self._improved(row.tobytes())
 
     def improved_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Improvements of the rows of an (r, n) image array, deduplicated
-        through the memo's byte keys."""
-        rows = np.ascontiguousarray(rows, dtype=np.int64)
-        if not len(rows):
-            return rows
-        keys = rows.view(np.dtype((np.void, rows.shape[1] * 8))).ravel().tolist()
+        """Ids of the checked improvements of the rows of an (r, n) int64
+        array, requested in row order."""
+        keys = rows.view(np.dtype((np.void, self.n * 8))).ravel().tolist()
         self.requests += len(keys)
-        slot = {key: i for i, key in enumerate(dict.fromkeys(keys))}
-        distinct = np.stack([self._improved(key).images for key in slot])
-        return distinct[[slot[key] for key in keys]]
+        return np.fromiter(map(self._improved, keys), dtype=np.int64, count=len(keys))
 
-    def place(self, m: VertexMap) -> int:
-        key = m.images.tobytes()
-        if key in self.by_key:
-            return self.by_key[key]
-        idx = _locate(self.stack, m)
-        if idx is not None:
-            self.members[idx].append(m)
-        else:
-            if len(self.reps) >= self.bound:
-                raise ClosureFailure(
-                    f"closure exceeded {self.bound} clusters; hypotheses likely fail"
-                )
-            idx = len(self.reps)
-            self.reps.append(m)
-            self.stack = np.vstack([self.stack, m.images])
-            self.members.append([m])
-        self.by_key[key] = idx
-        return idx
+    def place(self, i: int) -> int:
+        """Cluster of map ``i``; a map farther than n/5 from every cluster
+        starts a new one."""
+        c = self.cluster[i]
+        if c >= 0:
+            return c
+        row = self.pool[i]
+        c = _locate(self.stack, row)
+        if c is None:
+            if len(self.members) >= self.bound:
+                raise ClosureFailure(f"closure exceeded {self.bound} clusters; hypotheses likely fail")
+            c = len(self.members)
+            self.stack = np.vstack([self.stack, row])
+            self.members.append([])
+        self.members[c].append(i)
+        self.cluster[i] = c
+        return c
 
     def run(self, seeds: list[VertexMap]):
         for m in seeds:
-            self.place(m)
-        done = 0  # inverses of reps [0, done) and all their products are placed
+            self.place(self.intern(m.images))
+        done = 0  # inverses of clusters [0, done) and all their products are placed
         while True:
             self.rounds += 1
-            size = len(self.reps)
+            size = len(self.members)
             if done == size:
                 break
+            # pool rows are bijections: seeds are checked and improve returns bijections
             for i in range(done, size):
-                self.place(invert(self.reps[i]))
+                self.place(self.intern(np.argsort(self.stack[i])))
             stack = self.stack[:size]
             # the new pairs in row-major order, one gather per row
             for i in range(size):
@@ -340,110 +362,81 @@ class _Closure:
 
 
 class _Representatives:
-    """The final representatives as a k x n stack, their k x k distance
-    matrix and a bytes -> index dict.  Raises HypothesisViolation when two
-    of them lie within 4n/5."""
+    """The final representatives, ids ``ids`` of ``closure``, and the final
+    index of every id located so far.  Raises HypothesisViolation when two of
+    them lie within 4n/5."""
 
-    def __init__(self, stack: np.ndarray):
-        n = stack.shape[1]
-        self.stack = stack
-        self.dist, close = _pairwise(stack, lambda d: 5 * d <= 4 * n)
+    def __init__(self, closure: _Closure, ids: list[int]):
+        self.closure = closure
+        self.ids = np.array(ids, dtype=np.int64)
+        self.stack = closure.pool[self.ids]
+        n = closure.n
+        close = _pairwise(self.stack, lambda d: 5 * d <= 4 * n)[1]
         if close:
             i, j, d = close[0]
             raise HypothesisViolation(
                 f"representatives {i} and {j} lie at distance {d} <= 4n/5 ({_thresholds(n)})"
             )
-        self.index = {row.tobytes(): i for i, row in enumerate(stack)}
+        self.index = {i: idx for idx, i in enumerate(ids)}
 
-    def locate(self, m: VertexMap) -> tuple[int, bool]:
-        """Cluster of ``m``, and whether ``m`` is byte-equal to its
-        representative.  A representative is found through the dict: it lies
+    def locate(self, i: int) -> int:
+        """Final index of the cluster of map ``i``.  A representative lies
         farther than 4n/5 from every other one, so ``_locate`` would return
-        its index without raising.  Other maps go through ``_locate``."""
-        idx = self.index.get(m.images.tobytes())
-        if idx is not None:
-            return idx, True
-        idx = _locate(self.stack, m)
+        its own index without raising; other maps go through ``_locate`` once."""
+        idx = self.index.get(i)
         if idx is None:
-            raise HypothesisViolation("map lies within n/5 of 0 representatives")
-        return idx, False
+            idx = _locate(self.stack, self.closure.pool[i])
+            if idx is None:
+                raise HypothesisViolation("map lies within n/5 of 0 representatives")
+            self.index[i] = idx
+        return idx
 
-    def products(self, improved_row) -> "_Products":
-        """Improved products of all pairs of representatives, located in
-        row-major order; ``improved_row`` maps an image row to its checked
-        improvement."""
-        k, n = self.stack.shape
+    def products(self) -> tuple[np.ndarray, np.ndarray]:
+        """The table and the k x k ids P of the improved products of all
+        pairs of representatives, improved and located in row-major order."""
+        k = len(self.ids)
         table = np.empty((k, k), dtype=np.int64)
-        slot = np.full((k, k), -1, dtype=np.int64)
-        rows = []
+        prods = np.empty((k, k), dtype=np.int64)
         for i in range(k):
             for j, row in enumerate(self.stack[i][self.stack]):
-                prod = improved_row(row)
-                table[i, j], exact = self.locate(prod)
-                if not exact:
-                    slot[i, j] = len(rows)
-                    rows.append(prod.images)
-        return _Products(table, slot, np.array(rows, dtype=np.int64).reshape(len(rows), n))
+                prods[i, j] = p = self.closure.improved_row(row)
+                table[i, j] = self.locate(p)
+        return table, prods
 
 
-@dataclass
-class _Products:
-    """Improved products P[i, j] of the representatives, by index.
-
-    P[i, j] lies in cluster ``table[i, j]``.  Where ``slot[i, j]`` is -1 it is
-    byte-equal to that cluster's representative, else it is
-    ``rows[slot[i, j]]``; slots count up in row-major order.
-    """
-
-    table: np.ndarray
-    slot: np.ndarray
-    rows: np.ndarray
-
-
-def _check_associativity_inequality(reps: _Representatives, prods: _Products, improve_rows) -> int:
+def _check_associativity_inequality(reps: _Representatives, table: np.ndarray, prods: np.ndarray) -> int:
     """Verify d(a(bc), (ab)c) <= 4n/5 for every triple of representatives.
 
     a(bc) is the improvement of reps[a] . P[b, c] and (ab)c that of
-    P[a, b] . reps[c]; ``improve_rows`` maps an (r, n) image array to its
-    improvements.  The index identities of the module docstring answer the
-    inputs whose product is byte-equal to its representative.  The others go
-    through ``improve_rows`` in one batch per ``a``, left inputs then right
-    ones, each in row-major order, so the first failing improvement and the
-    lexicographically first failing triple, which raises
+    P[a, b] . reps[c], with P = ``prods``.  The index identities of the module
+    docstring answer the inputs whose product is its representative.  The
+    others go through the closure's memo in one batch per ``a``, left inputs
+    then right ones, each in row-major order, so the first failing
+    improvement and the lexicographically first failing triple, which raises
     HypothesisViolation, are those of a scan over all 2k^3 inputs.  Returns
     the number of improvements the index identities answered.
     """
-    stack, rows, t, slot = reps.stack, prods.rows, prods.table, prods.slot
-    k, n = stack.shape
-    m = len(rows)
-    eq = slot < 0
-    rank = np.cumsum(~eq, axis=1) - 1  # position of P[a, b] among the rows of a
+    closure = reps.closure
+    k, n = reps.stack.shape
+    exact = prods == reps.ids[table]
+    inexact_rows = closure.pool[prods[~exact]]  # P[b, c] where not exact, row-major
     answered = 0
     for a in range(k):
-        # a(bc) = P[a, t[b, c]] where eq[b, c]; (ab)c = P[t[a, b], c] where eq[a, b]
-        left_t, left_slot = t[a][t], slot[a][t]
-        right_t, right_slot = t[t[a]], slot[t[a]]
-        dist = reps.dist[left_t, right_t]  # exact where both are representatives
-        # the other inputs: rows holds P[b, c] for the (b, c) with ~eq[b, c]
-        # in row-major order, so a . rows are the left ones in that order
-        new = improve_rows(np.concatenate([stack[a][rows], rows[slot[a][~eq[a]]][:, stack].reshape(-1, n)]))
+        left = prods[a][table]  # a(bc) where exact[b, c]
+        right = prods[table[a]]  # (ab)c where exact[a, b]
+        lefts = reps.stack[a][inexact_rows]
+        rights = closure.pool[prods[a][~exact[a]]][:, reps.stack].reshape(-1, n)
+        new = closure.improved_rows(np.concatenate([lefts, rights]))
         answered += 2 * k * k - len(new)
-        other = ~(eq & (left_slot < 0) & eq[a][:, None] & (right_slot < 0))
-        if other.any():
-            # rows of pool: representatives, stored products, new left rows, new right rows
-            pool = np.concatenate([stack, rows, new])
-            left = np.where(eq, np.where(left_slot < 0, left_t, k + left_slot), k + m + slot)
-            right = np.where(
-                eq[a][:, None],
-                np.where(right_slot < 0, right_t, k + right_slot),
-                k + 2 * m + k * rank[a][:, None] + np.arange(k),
-            )
-            b, c = np.nonzero(other)
-            left, right = left[b, c], right[b, c]
-            step = max(1, _BLOCK_CELLS // n)
-            for s in range(0, len(b), step):
-                block = slice(s, s + step)
-                dist[b[block], c[block]] = np.count_nonzero(pool[left[block]] != pool[right[block]], axis=1)
+        left[~exact] = new[: len(lefts)]
+        right[~exact[a]] = new[len(lefts) :].reshape(-1, k)
+        dist = np.zeros((k, k), dtype=np.int64)  # equal ids are equal maps
+        b, c = np.nonzero(left != right)
+        left, right, pool = left[b, c], right[b, c], closure.pool
+        step = max(1, _BLOCK_CELLS // n)
+        for s in range(0, len(b), step):
+            block = slice(s, s + step)
+            dist[b[block], c[block]] = np.count_nonzero(pool[left[block]] != pool[right[block]], axis=1)
         failing = np.flatnonzero(5 * dist > 4 * n)
         if failing.size:
             b, c = divmod(int(failing[0]), k)
@@ -474,9 +467,8 @@ def cluster_group(
     Every improvement goes through one memo that lives for this call only, so
     ``improve`` runs once per distinct input map (exact, because ``improve``
     is deterministic for the fixed graph, config and workspace).  The table
-    and the inequality work on indices into the representatives, as the
-    module docstring describes, in O(k^2 n + k^3) time when every product is
-    byte-equal to its representative.  Warnings of ``improve`` fire once per
+    and the inequality work on map ids, as the module docstring describes,
+    in O(k^2 n + k^3) time when every product is its representative.  Warnings of ``improve`` fire once per
     distinct input.  The result counts the improvement requests, i.e. every
     improvement the algorithm consumes, whether an ``improve`` call, a memo
     hit or an index identity answered it (the closure's products, k^2 for
@@ -487,23 +479,26 @@ def cluster_group(
     if not seeds:
         raise ValueError("seed_maps must be nonempty")
     _check_delta_maps(g, delta, seeds, require_bijective=True)
-    cfg = replace(cfg, target_delta=delta)
     bound = closure_bound if closure_bound is not None else CLOSURE_FACTOR * len(seeds)
-    closure = _Closure(g, delta, cfg, bound)
+    closure = _Closure(g.n, _checked_improvement(g, delta, replace(cfg, target_delta=delta)), bound)
     closure.run(seeds)
 
     # canonical order and lex-min representatives, then one deterministic
     # rebuild of the table against the final representatives
-    final_members = [sorted(mem, key=lambda m: m.key()) for mem in closure.members]
-    final_members.sort(key=lambda mem: mem[0].key())
-    clusters = [Cluster(mem[0], mem, delta) for mem in final_members]
-    reps = _Representatives(np.stack([cl.representative.images for cl in clusters]))
+    final_members = [sorted(mem, key=lambda i: closure.pool[i].tolist()) for mem in closure.members]
+    final_members.sort(key=lambda mem: closure.pool[mem[0]].tolist())
+    clusters = []
+    for mem in final_members:
+        maps = [VertexMap(closure.pool[i]) for i in mem]
+        clusters.append(Cluster(maps[0], maps, delta))
+    reps = _Representatives(closure, [mem[0] for mem in final_members])
     k = len(clusters)
 
-    identity_index = reps.locate(VertexMap.identity(g.n))[0]
-    prods = reps.products(closure.improved_row)
-    table = prods.table
-    inverse_map = np.array([reps.locate(invert(cl.representative))[0] for cl in clusters], dtype=np.int64)
+    identity_index = reps.locate(closure.intern(VertexMap.identity(g.n).images))
+    table, prods = reps.products()
+    inverse_map = np.array(
+        [reps.locate(closure.intern(invert(cl.representative).images)) for cl in clusters], dtype=np.int64
+    )
 
     if not np.array_equal(table[identity_index], np.arange(k)) or not np.array_equal(
         table[:, identity_index], np.arange(k)
@@ -515,7 +510,7 @@ def cluster_group(
     for a in range(k):
         if not np.array_equal(table[table[a]], table[a][table]):
             raise HypothesisViolation("cluster multiplication table is not associative")
-    answered = _check_associativity_inequality(reps, prods, closure.improved_rows)
+    answered = _check_associativity_inequality(reps, table, prods)
     closure.requests += answered  # read after the call, which counts requests too
     return ClusterGroup(
         clusters,
@@ -618,7 +613,7 @@ def lef_certificate(
     stack = np.stack([cl.representative.images for cl in cg.clusters])
 
     def locate(m: VertexMap) -> int:
-        idx = _locate(stack, m)
+        idx = _locate(stack, m.images)
         if idx is None:
             raise HypothesisViolation("word map does not sit in a unique cluster")
         return idx

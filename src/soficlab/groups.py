@@ -30,13 +30,12 @@ def symmetric_elements(k: int) -> list[tuple[int, ...]]:
 
 def symmetric_table(k: int) -> np.ndarray:
     """Composition table for Sym(k); product p*q acts as p after q."""
-    elems = symmetric_elements(k)
-    index = {p: i for i, p in enumerate(elems)}
-    m = len(elems)
-    table = np.empty((m, m), dtype=np.int64)
+    elems = np.array(symmetric_elements(k), dtype=np.int64)
+    weights = k ** np.arange(k - 1, -1, -1)
+    codes = elems @ weights  # base-k codes ascend in lexicographic order
+    table = np.empty((len(elems), len(elems)), dtype=np.int64)
     for i, p in enumerate(elems):
-        for j, q in enumerate(elems):
-            table[i, j] = index[tuple(p[q[x]] for x in range(k))]
+        table[i] = np.searchsorted(codes, p[elems] @ weights)
     return table
 
 
@@ -65,21 +64,12 @@ def direct_product_table(ta: np.ndarray, tb: np.ndarray) -> np.ndarray:
     return out
 
 
-def table_inverse(table: np.ndarray) -> np.ndarray:
-    m = table.shape[0]
-    identity = next(e for e in range(m) if np.array_equal(table[e], np.arange(m)))
-    inv = np.empty(m, dtype=np.int64)
-    for a in range(m):
-        inv[a] = int(np.flatnonzero(table[a] == identity)[0])
-    return inv
-
-
 def element_index_sym(k: int, perm: tuple[int, ...]) -> int:
     return symmetric_elements(k).index(tuple(perm))
 
 
 def _atom(name: str) -> tuple[np.ndarray, list[int]]:
-    kind, arg = name[0], name[1:]
+    kind, arg = name[:1], name[1:]
     if kind not in "zsd" or not arg.isdigit():
         raise ValueError(f"unknown group name {name!r}")
     n = int(arg)
@@ -97,7 +87,8 @@ def _atom(name: str) -> tuple[np.ndarray, list[int]]:
         else:
             swap = element_index_sym(n, (1, 0) + tuple(range(2, n)))
             cyc = element_index_sym(n, tuple(range(1, n)) + (0,))
-            gens = sorted({swap, cyc, int(table_inverse(table)[cyc])})
+            cyc_inverse = element_index_sym(n, (n - 1,) + tuple(range(n - 1)))
+            gens = sorted({swap, cyc, cyc_inverse})
     else:
         table = dihedral_table(n)
         gens = sorted({n} | ({1, n - 1} if n > 1 else set()))  # flip plus rotation pair

@@ -221,6 +221,15 @@ def test_malformed_table_input_is_a_domain_error(tmp_path, capsys, table_doc, ge
     assert not out.exists()
 
 
+@pytest.mark.parametrize("name", ["", "x", "s4x", "z2xx"])
+def test_malformed_group_name_is_a_domain_error(tmp_path, capsys, name):
+    out = tmp_path / "g.json"
+    assert run(["gen", "cayley", "--group", name, "-o", str(out)]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert "unknown group name" in doc["error"]["message"]
+    assert not out.exists()
+
+
 def test_manifest_replay_byte_identical(tmp_path):
     g = tmp_path / "g.json"
     run(["gen", "cayley", "--group", "z6", "--gens", "1,5", "-o", str(g)])

@@ -17,6 +17,7 @@ from soficlab.almost_auto import ImprovementConfig, VertexMap, defect_of_map, la
 from soficlab import clusters
 from soficlab.clusters import (
     _check_associativity_inequality,
+    _checked_improvement,
     _Closure,
     _locate,
     _Representatives,
@@ -219,9 +220,9 @@ def test_locate_finds_the_single_close_representative():
     reps = np.stack([np.arange(10), np.roll(np.arange(10), 1)])
     near = np.arange(10)
     near[[0, 1]] = near[[1, 0]]
-    assert _locate(reps, VertexMap(near)) == 0
-    assert _locate(reps, VertexMap(np.roll(np.arange(10), 5))) is None
-    assert _locate(reps[:0], VertexMap.identity(10)) is None
+    assert _locate(reps, near) == 0
+    assert _locate(reps, np.roll(np.arange(10), 5)) is None
+    assert _locate(reps[:0], np.arange(10)) is None
 
 
 def test_locate_rejects_two_close_representatives():
@@ -230,7 +231,7 @@ def test_locate_rejects_two_close_representatives():
     reps = np.stack([np.arange(10), near])
     expected = r"representatives 0 and 1 \(distances 0 and 2; n = 10, n/5 = 2, 4n/5 = 8\)"
     with pytest.raises(HypothesisViolation, match=expected):
-        _locate(reps, VertexMap.identity(10))
+        _locate(reps, np.arange(10))
 
 
 def test_locate_rejects_forbidden_band():
@@ -239,14 +240,14 @@ def test_locate_rejects_forbidden_band():
     reps = np.stack([np.roll(np.arange(10), 5), np.arange(10)])
     expected = r"distance 4 to representative 1 falls in \(n/5, 4n/5\] \(n = 10, n/5 = 2, 4n/5 = 8\)"
     with pytest.raises(HypothesisViolation, match=expected):
-        _locate(reps, VertexMap(mid))
+        _locate(reps, mid)
 
 
 def test_closure_rejects_improvement_that_moves_too_far():
     g = cycle_graph(20)
     c = np.roll(np.arange(20), -3)
     c[:6] = c[:6][::-1]  # improve restores the translation, moving 6 > n/5 points
-    closure = _Closure(g, 0.0, ImprovementConfig(), bound=10)
+    closure = _Closure(20, _checked_improvement(g, 0.0, ImprovementConfig()), bound=10)
     expected = r"moved a composition by distance 6 > n/5 \(n = 20, n/5 = 4, 4n/5 = 16\)"
     with pytest.raises(HypothesisViolation, match=expected):
         closure.improved_row(c)
@@ -306,7 +307,7 @@ def test_closure_does_not_cache_failed_improvements():
     g = cycle_graph(20)
     c = np.roll(np.arange(20), -3)
     c[:6] = c[:6][::-1]
-    closure = _Closure(g, 0.0, ImprovementConfig(), bound=10)
+    closure = _Closure(20, _checked_improvement(g, 0.0, ImprovementConfig()), bound=10)
     for _ in range(2):
         with pytest.raises(HypothesisViolation, match="moved a composition"):
             closure.improved_row(c)
@@ -334,18 +335,22 @@ def _improvement(overrides):
     return improved
 
 
+def _representatives(stack, improved):
+    """A closure with the checked improvement ``improved`` and the rows of
+    ``stack`` as its final representatives."""
+    closure = _Closure(stack.shape[1], improved, bound=len(stack))
+    return closure, _Representatives(closure, [closure.intern(row) for row in stack])
+
+
 def _index_path(stack, improved):
-    """Table build and associativity inequality as ``cluster_group`` runs them."""
-    reps = _Representatives(stack)
-    prods = reps.products(lambda row: VertexMap(improved(row)))
-    sent = []
-
-    def improve_rows(rows):
-        sent.append(len(rows))
-        return np.array([improved(r) for r in rows], dtype=np.int64).reshape(rows.shape)
-
-    answered = _check_associativity_inequality(reps, prods, improve_rows)
-    return prods.table, sum(sent) + answered
+    """Table build and associativity inequality as ``cluster_group`` runs them;
+    returns the table, the inequality's requests to the memo and the
+    improvements its index identities answered."""
+    closure, reps = _representatives(stack, improved)
+    table, prods = reps.products()
+    before = closure.requests
+    answered = _check_associativity_inequality(reps, table, prods)
+    return table, closure.requests - before, answered
 
 
 def _z2_on_ten_points():
@@ -358,9 +363,9 @@ def _z2_on_ten_points():
 
 def test_associativity_inequality_passes_on_exact_products():
     reps, _ = _z2_on_ten_points()
-    table, requests = _index_path(reps, _improvement({}))
+    table, sent, answered = _index_path(reps, _improvement({}))
     assert table.tolist() == [[0, 1], [1, 0]]
-    assert requests == 2 * 2**3  # all answered by index identities
+    assert (sent, answered) == (0, 2 * 2**3)  # all answered by index identities
 
 
 def test_associativity_inequality_names_the_first_failing_triple():
@@ -388,7 +393,7 @@ def _reference_table(stack, improved):
     for i in range(k):
         for j in range(k):
             products[i, j] = improved(stack[i][stack[j]])
-            idx = _locate(stack, VertexMap(products[i, j]))
+            idx = _locate(stack, products[i, j])
             if idx is None:
                 raise HypothesisViolation("map lies within n/5 of 0 representatives")
             table[i, j] = idx
@@ -463,12 +468,12 @@ def test_index_path_matches_the_byte_path(data):
         overrides[spoilt.tobytes()] = failure(spoilt)
     improved = _improvement(overrides)
     reference = _outcome(lambda: _reference_table(stack, improved))
-    index = _outcome(lambda: _Representatives(stack).products(lambda row: VertexMap(improved(row))))
+    index = _outcome(lambda: _representatives(stack, improved)[1].products()[0])
     if reference[0] == "raises":
         assert index == reference
         return
     ref_table, products = reference[1]
-    assert np.array_equal(index[1].table, ref_table)
+    assert np.array_equal(index[1], ref_table)
 
     # second-level inputs a.P[b, c] and P[a, b].c that are not table inputs:
     # send a few far away or make their improvement fail
@@ -498,7 +503,7 @@ def test_index_path_matches_the_byte_path(data):
         assert index == reference
     else:
         assert index[0] == "ok" and np.array_equal(index[1][0], ref_table)
-        assert index[1][1] == sum(requests) == 2 * k**3
+        assert index[1][1] + index[1][2] == sum(requests) == 2 * k**3
 
 
 def test_representatives_closer_than_4n_over_5_are_refused():
@@ -507,7 +512,7 @@ def test_representatives_closer_than_4n_over_5_are_refused():
     stack = np.stack([np.arange(10), np.roll(np.arange(10), -5), near])
     expected = r"representatives 1 and 2 lie at distance 4 <= 4n/5 \(n = 10, n/5 = 2, 4n/5 = 8\)"
     with pytest.raises(HypothesisViolation, match=expected):
-        _Representatives(stack)
+        _representatives(stack, _improvement({}))
 
 
 def test_cluster_group_improves_each_distinct_input_once(monkeypatch):
@@ -627,6 +632,15 @@ def test_closure_grown_from_a_few_seeds_is_pinned(name, picks, digest):
     assert _sha256(cluster_group(g, 0.0, [autos[i] for i in picks], ImprovementConfig()).as_dict()) == digest
 
 
+def test_cluster_group_s5_document_is_pinned():
+    # the full Cay(S5) document, counters included; sha256 computed with the
+    # byte-keyed closure, before maps were interned as ids
+    table, gens = groups.preset_group("s5")
+    g = cayley_graph(table, gens)
+    doc = cluster_group(g, 0.0, label_automorphisms(g), ImprovementConfig()).as_dict()
+    assert _sha256(doc) == "1fd6b97cb5a5b7dd978d56af2a256173b3c17080ae45f88da09968c4ae3b0664"
+
+
 def test_cluster_group_s5_within_budget():
     start = time.perf_counter()
     table, gens = groups.preset_group("s5")
@@ -696,6 +710,16 @@ def test_lef_certificate_commuting_factor():
     assert 4 in cert.element_orders
     clusters_of_f = [w["cluster"] for w in cert.witnesses[:2]]
     assert len(set(clusters_of_f)) == 2
+
+
+def test_lef_certificate_s4xz5_is_pinned():
+    # acceptance criterion 7's certificate; sha256 computed with the
+    # byte-keyed closure, before maps were interned as ids
+    table, gens = groups.preset_group("s4xz5")
+    g = cayley_graph(table, gens)
+    f_words = [Word((), True), Word(("g1",), True), Word(("g1", "g1"), True)]
+    cert = lef_certificate(g, ["g30", "g45", "g90"], f_words, 0.0, ImprovementConfig())
+    assert _sha256(cert.as_dict()) == "02ecfe842fe2293f4fea8740264a5cf93954368d85d51bc7ff073b168928c4a9"
 
 
 def test_lef_certificate_trivial_word_set():

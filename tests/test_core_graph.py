@@ -75,6 +75,29 @@ def test_cyclic_table_allocates_one_table():
     assert peak < 1.1 * n * n * 8, f"peak {peak} bytes"
 
 
+def _reference_symmetric_table(k):
+    """The per-cell double loop that the row gathers replaced."""
+    elems = groups.symmetric_elements(k)
+    index = {p: i for i, p in enumerate(elems)}
+    m = len(elems)
+    table = np.empty((m, m), dtype=np.int64)
+    for i, p in enumerate(elems):
+        for j, q in enumerate(elems):
+            table[i, j] = index[tuple(p[q[x]] for x in range(k))]
+    return table
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_symmetric_table_matches_the_double_loop(k):
+    table, gens = groups.preset_group(f"s{k}")
+    assert np.array_equal(table, _reference_symmetric_table(k))
+    if k > 1:
+        # the default generators: a transposition, the k-cycle x -> x+1 and its inverse
+        swap = groups.element_index_sym(k, (1, 0) + tuple(range(2, k)))
+        cyc = groups.element_index_sym(k, tuple(range(1, k)) + (0,))
+        assert gens == sorted({swap, cyc, int(np.flatnonzero(table[cyc] == 0)[0])})
+
+
 def test_make_rejects_duplicate_image():
     gens = GeneratorSet.from_pairs([("a", "a")])
     with pytest.raises(NotAPermutation):
