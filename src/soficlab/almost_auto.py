@@ -190,6 +190,8 @@ class ImprovementWorkspace:
     __slots__ = ("good", "alpha")
 
     def __init__(self, g: LabeledGraph, cfg: ImprovementConfig):
+        if g.n < 2:
+            raise ValueError(f"improve needs at least 2 vertices, the graph has {g.n}")
         reference = cfg.reference_ball if cfg.reference_ball is not None else rooted_ball(g, 0, cfg.radius)
         self.good = good_vertices(g, reference)
         if cfg.alpha is not None:

@@ -41,7 +41,7 @@ pinned corrupted Cay(S4) document the memo holds 611 and the pool 40.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,7 +53,7 @@ from .almost_auto import (
     improve,
     invert,
 )
-from .core_graph import GeneratorSet, LabeledGraph, restrict_labels, subset_of_generators
+from .core_graph import LabeledGraph, restrict_labels, subset_of_generators
 from .errors import (
     ClosureFailure,
     CollisionFailure,
@@ -480,7 +480,7 @@ def cluster_group(
         raise ValueError("seed_maps must be nonempty")
     _check_delta_maps(g, delta, seeds, require_bijective=True)
     bound = closure_bound if closure_bound is not None else CLOSURE_FACTOR * len(seeds)
-    closure = _Closure(g.n, _checked_improvement(g, delta, replace(cfg, target_delta=delta)), bound)
+    closure = _Closure(g.n, _checked_improvement(g, delta, cfg), bound)
     closure.run(seeds)
 
     # canonical order and lex-min representatives, then one deterministic
@@ -562,14 +562,15 @@ class LefCertificate:
 
 def lef_certificate(
     g: LabeledGraph,
-    gamma_labels,
+    gamma_labels: list[str],
     f_words: list[Word],
     delta: float,
     cfg: ImprovementConfig,
 ) -> LefCertificate:
     """Finite multiplicative embedding of a word set, extracted from clusters.
 
-    Words over the complement labels act on the full graph; their defects are
+    ``gamma_labels`` are symbol names of ``g``, closed under inverse.  Words
+    over the complement labels act on the full graph; their defects are
     measured on the gamma-labeled subgraph only.  The certificate succeeds
     when all pairwise products land in pairwise distinct clusters and cluster
     multiplication matches word concatenation.
@@ -577,10 +578,7 @@ def lef_certificate(
     _check_delta(delta)
     if not f_words:
         raise ValueError("word list must be nonempty")
-    if isinstance(gamma_labels, GeneratorSet):
-        gamma = gamma_labels
-    else:
-        gamma = subset_of_generators(g, gamma_labels)
+    gamma = subset_of_generators(g, gamma_labels)
     g_gamma = restrict_labels(g, gamma)
     gamma_set = set(gamma.symbols)
     for w in f_words:

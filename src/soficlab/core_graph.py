@@ -181,7 +181,7 @@ def make_labeled_graph(n: int, gens: GeneratorSet, actions) -> LabeledGraph:
     return LabeledGraph(n, gens, arr)
 
 
-def _check_table(table: np.ndarray, check_associativity: bool) -> tuple[int, np.ndarray]:
+def _check_table(table: np.ndarray) -> tuple[int, np.ndarray]:
     """Validate a multiplication table; return (identity element, inverse array)."""
     m = table.shape[0]
     if table.ndim != 2 or table.shape != (m, m):
@@ -207,31 +207,26 @@ def _check_table(table: np.ndarray, check_associativity: bool) -> tuple[int, np.
         if hits.size != 1 or table[hits[0], a] != identity:
             raise InvalidTable("table has an element without a two-sided inverse")
         inv[a] = hits[0]
-    if check_associativity:
-        # (a*b)*c == a*(b*c) for all triples, vectorized one row at a time.
+    if m <= 256:
+        # (a*b)*c == a*(b*c) for all triples, vectorized one row at a time;
+        # m^3 work, so larger tables are trusted.
         for a in range(m):
             if not np.array_equal(table[table[a]], table[a][table]):
                 raise InvalidTable("table is not associative")
     return identity, inv
 
 
-def cayley_graph(
-    mult_table,
-    gen_indices,
-    symbol_names: list[str] | None = None,
-    check_associativity: bool | None = None,
-) -> LabeledGraph:
+def cayley_graph(mult_table, gen_indices, symbol_names: list[str] | None = None) -> LabeledGraph:
     """Left-multiplication Cayley graph of a finite group given by its table.
 
     Vertices are the group elements; the symbol for generator ``s`` acts by
     ``x -> s*x``.  ``gen_indices`` must be closed under group inverse.
-    Connectivity is not required (and not checked here).
+    Connectivity is not required (and not checked here).  Associativity is
+    checked for tables of at most 256 elements.
     """
     table = np.asarray(mult_table, dtype=np.int64)
     m = table.shape[0]
-    if check_associativity is None:
-        check_associativity = m <= 256
-    _, inv = _check_table(table, check_associativity)
+    _, inv = _check_table(table)
     gen_indices = list(gen_indices)
     outside = [g for g in gen_indices if not 0 <= g < m]
     if outside:

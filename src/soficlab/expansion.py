@@ -187,6 +187,8 @@ def average(g: LabeledGraph, x: np.ndarray) -> np.ndarray:
     sums the same terms in the same order whatever the split, so the result
     is bit-identical for any number of blocks.
     """
+    if len(g.gens) == 0:
+        raise ValueError("graph has no generators")
     actions = g.actions
     if x.ndim == 1:
         total = x.take(actions[0]).astype(np.float64, copy=False)
@@ -281,6 +283,8 @@ def lambda2(g: LabeledGraph, tol: float = 1e-10, max_iter: int = 10000, seed: in
     n = g.n
     if len(g.gens) == 0:
         raise ValueError("graph has no generators")
+    if n == 0:
+        raise ValueError("graph has no vertices")
     if n == 1:
         return SpectralData(-1.0, 0, 0.0, True, np.zeros(1))
     rng = np.random.default_rng(seed)

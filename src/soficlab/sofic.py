@@ -71,7 +71,7 @@ def defect(g: LabeledGraph, w: Word) -> float:
     act = word_action(g, w)
     fixed = int(np.count_nonzero(act == np.arange(g.n)))
     bad = (g.n - fixed) if w.expects_identity else fixed
-    return bad / g.n
+    return bad / g.n if g.n else 0.0
 
 
 def sofic_report(g: LabeledGraph, words) -> SoficReport:
@@ -86,6 +86,8 @@ def random_permutation_model(n: int, pairs: int, seed: int) -> LabeledGraph:
     """Independent uniform permutations with formal inverses, one per pair."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    if pairs < 0:
+        raise ValueError("pairs must be >= 0")
     gens = GeneratorSet.from_pairs([(f"s{i}", f"s{i}'") for i in range(pairs)])
     rng = np.random.default_rng(seed)
     actions = []

@@ -7,7 +7,7 @@ import pytest
 
 from soficlab import parse_graph
 from soficlab.almost_auto import VertexMap, format_map_text, parse_map_text
-from soficlab.cli import run
+from soficlab.cli import build_parser, run
 
 
 def read_json(path):
@@ -171,6 +171,19 @@ def test_domain_error_exit_code_and_document(tmp_path, capsys):
 def test_usage_error_exit_code():
     assert run(["cheeger", "--bogus-flag"]) == 2
     assert run([]) == 2
+    # --seed and --kappa are taken only where a handler reads them
+    for argv in (
+        ["gen", "cayley", "--group", "z3", "-o", "g.json", "--seed", "1"],
+        ["sofic", "g.json", "--seed", "1"],
+        ["improve", "g.json", "--map", "m.txt", "--seed", "1"],
+        ["cluster-group", "g.json", "--auto", "--seed", "1"],
+        ["lef-check", "g.json", "--gamma", "a", "--words", "w.txt", "--seed", "1"],
+        ["report", "g.json", "--seed", "1"],
+        ["cluster-group", "g.json", "--kappa", "0.5"],
+        ["lef-check", "g.json", "--gamma", "a", "--words", "w.txt", "--kappa", "0.5"],
+    ):
+        assert run(argv) == 2, argv
+    assert build_parser().parse_args(["improve", "g.json", "--map", "m.txt", "--kappa", "0.5"]).kappa == 0.5
 
 
 def test_missing_input_is_a_domain_error(tmp_path, capsys):
@@ -197,6 +210,44 @@ def test_malformed_graph_file_is_a_domain_error(tmp_path, capsys, text):
         doc = json.loads(capsys.readouterr().out)
         assert doc["error"]["type"] == "InvalidGraphFile"
     assert not (tmp_path / "c.json").exists()
+
+
+@pytest.mark.parametrize(
+    "n, generators",
+    [(0, [{"name": "a", "inverse": "a", "perm": []}]), (1, [{"name": "a", "inverse": "a", "perm": [0]}]), (3, [])],
+    ids=["n0", "n1", "no-generators"],
+)
+def test_degenerate_graph_gives_a_document_not_a_traceback(tmp_path, capsys, n, generators):
+    g = tmp_path / "g.json"
+    g.write_text(json.dumps({"format_version": 1, "n": n, "generators": generators}))
+    m = tmp_path / "m.txt"
+    m.write_text(format_map_text(VertexMap(np.arange(n))))
+    words = tmp_path / "w.txt"
+    words.write_text("()\n")
+    gamma = ",".join(gen["name"] for gen in generators) or ","
+    runs = [
+        ["cheeger", g],
+        ["sofic", g],
+        ["report", g],
+        ["improve", g, "--map", m],
+        ["cluster-group", g, "--auto"],
+        ["lef-check", g, "--gamma", gamma, "--words", words],
+    ]
+    for argv in runs:
+        assert run([str(a) for a in argv]) in (0, 1), argv
+        out, err = capsys.readouterr()
+        assert isinstance(json.loads(out), dict)
+        assert "Traceback" not in err
+
+
+def test_lef_check_without_gamma_labels_is_a_domain_error(tmp_path, capsys):
+    g = tmp_path / "g.json"
+    run(["gen", "cayley", "--group", "s3xz4", "-o", str(g)])
+    words = tmp_path / "w.txt"
+    words.write_text("()\n")
+    capsys.readouterr()
+    assert run(["lef-check", str(g), "--gamma", ",", "--words", str(words)]) == 1
+    assert json.loads(capsys.readouterr().out)["error"]["message"] == "graph has no generators"
 
 
 @pytest.mark.parametrize(

@@ -108,6 +108,12 @@ def test_random_model_n1_is_loops():
     assert all(p.tolist() == [0] for p in g.actions)
 
 
+@pytest.mark.parametrize("n, pairs", [(0, 2), (5, -1)])
+def test_random_model_rejects_out_of_range_sizes(n, pairs):
+    with pytest.raises(ValueError):
+        random_permutation_model(n, pairs, seed=0)
+
+
 def test_random_model_deterministic():
     a = random_permutation_model(500, 2, seed=42)
     b = random_permutation_model(500, 2, seed=42)
