@@ -82,7 +82,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     ch = sub.add_parser("cheeger", help="exact Cheeger constant or spectral interval")
     ch.add_argument("graph", type=Path)
-    ch.add_argument("--exact-limit", type=int, default=EXHAUSTIVE_LIMIT)
+    ch.add_argument("--exact-limit", type=int, default=EXHAUSTIVE_LIMIT,
+                    help="largest n for the exhaustive search over all subsets (default %(default)s); its table "
+                         "holds 4 bytes per subset, 64 MB at n = 24; above it the spectral interval is reported")
     ch.add_argument("--tol", type=float, default=1e-10,
                     help="stop the Lanczos steps once the lambda2 estimate moves less than this between checks")
     ch.add_argument("--max-iter", type=int, default=10000, help="most Lanczos steps for lambda2")
@@ -197,6 +199,9 @@ def _cmd_sofic(args) -> tuple[list[tuple[Path, str]], dict]:
         words = parse_words_text(args.words.read_text())
     else:
         words = reduced_words(g.gens, args.max_len, expects_identity=False)
+        if not words:
+            why = "the graph has no generators" if len(g.gens) == 0 else f"--max-len {args.max_len} allows no nonempty word"
+            raise SoficlabError(f"no reduced words: {why}")
     report = sofic_report(g, words)
     doc = report.as_dict()
     outputs = [(args.output, _dump(doc))] if args.output else []
@@ -223,7 +228,8 @@ def _cmd_cluster_group(args) -> tuple[list[tuple[Path, str]], dict]:
     if args.auto:
         seeds.extend(label_automorphisms(g))
     if not seeds:
-        raise SoficlabError("no seed maps: pass --map or --auto")
+        raise SoficlabError(f"--auto found no automorphism: the graph has n={g.n} vertices" if args.auto
+                            else "no seed maps: pass --map or --auto")
     cfg = _improvement_config(args)
     cg = cluster_group(g, args.delta, seeds, cfg, closure_bound=args.closure_bound)
     doc = cg.as_dict()

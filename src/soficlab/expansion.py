@@ -110,7 +110,10 @@ def _lex_min_mask(candidates: np.ndarray, n: int) -> int:
 def cheeger_exact(g: LabeledGraph, exhaustive_limit: int = EXHAUSTIVE_LIMIT) -> CheegerEstimate:
     """Exact min of |bd(S)|/|S| over nonempty S with |S| <= n/2.
 
-    Ties break to the lexicographically smallest witness.
+    Ties break to the lexicographically smallest witness.  One int32 table,
+    4 bytes per subset (64 MB at n = 24), holds every boundary; it is filled
+    in place by |bd(S + v)| = |bd(S)| + deg(v) - 2 slots(v, S) for S within
+    {0..v-1}, then read once in chunks for the least ratio and its masks.
     """
     n = g.n
     if n > exhaustive_limit:
@@ -118,59 +121,36 @@ def cheeger_exact(g: LabeledGraph, exhaustive_limit: int = EXHAUSTIVE_LIMIT) -> 
     if n < 2:
         raise ValueError("Cheeger constant needs at least 2 vertices")
     u, v, _ = edge_slots(g)
-    deg = np.bincount(u, minlength=n) + np.bincount(v, minlength=n)
-    nbrs: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for a, b in zip(u.tolist(), v.tolist()):
-        nbrs[a].append(b)
-        nbrs[b].append(a)
-    weighted = []
-    for a in range(n):
-        uniq, counts = np.unique(np.asarray(nbrs[a], dtype=np.int64), return_counts=True) if nbrs[a] else (np.zeros(0, np.int64), np.zeros(0, np.int64))
-        weighted.append((uniq, counts.astype(np.int64)))
+    weight = np.zeros((n, n), dtype=np.int32)
+    np.add.at(weight, (u, v), 1)
+    weight += weight.T
 
     total = 1 << n
     bnd = np.zeros(total, dtype=np.int32)
-    # Masks with low bit v reference masks whose low bit is above v, so fill
-    # from the top vertex down.
-    for vtx in reversed(range(n)):
-        step = 1 << (vtx + 1)
-        base = 1 << vtx
-        for start in range(base, total, _CHUNK * step):
-            idx = np.arange(start, min(start + _CHUNK * step, total), step, dtype=np.int64)
-            prev = idx - base
-            inside = np.zeros(idx.size, dtype=np.int32)
-            uniq, counts = weighted[vtx]
-            for nb, w in zip(uniq.tolist(), counts.tolist()):
-                if nb > vtx:  # prev has no bits below vtx set
-                    inside += w * ((prev >> nb) & 1).astype(np.int32)
-            bnd[idx] = bnd[prev] + int(deg[vtx]) - 2 * inside
+    for top in range(n):
+        upper = bnd[1 << top : 2 << top]
+        np.add(bnd[: 1 << top], int(weight[top].sum()), out=upper)
+        for w in np.flatnonzero(weight[top, :top]).tolist():
+            upper.reshape(-1, 2, 1 << w)[:, 1] -= 2 * weight[top, w]  # the masks holding w
 
-    half = n // 2
-    best: Fraction | None = None
-    per_size_min = np.full(half + 1, np.iinfo(np.int32).max, dtype=np.int32)
+    # Comparing ratios as float64 is exact: division is correctly rounded, so
+    # equal fractions give equal floats, and distinct ones with denominators
+    # <= n/2 differ by >= 1/(n/2)**2, far above the rounding of int32 numerators.
+    best, cands = np.inf, []
     for start in range(0, total, _CHUNK):
         masks = np.arange(start, min(start + _CHUNK, total), dtype=np.uint32)
-        sizes = np.bitwise_count(masks).astype(np.int64)
-        ok = (sizes >= 1) & (sizes <= half)
-        np.minimum.at(per_size_min, sizes[ok], bnd[start : start + masks.size][ok])
-    for s in range(1, half + 1):
-        if per_size_min[s] < np.iinfo(np.int32).max:
-            r = Fraction(int(per_size_min[s]), s)
-            if best is None or r < best:
-                best = r
-    assert best is not None
-
-    cand_chunks = []
-    for start in range(0, total, _CHUNK):
-        masks = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-        sizes = np.bitwise_count(masks.astype(np.uint32)).astype(np.int64)
-        b = bnd[start : start + masks.size].astype(np.int64)
-        hit = (sizes >= 1) & (sizes <= half) & (b * best.denominator == best.numerator * sizes)
-        cand_chunks.append(masks[hit])
-    cands = np.concatenate(cand_chunks)
-    witness_mask = _lex_min_mask(cands, n)
+        size = np.bitwise_count(masks)
+        ratio = np.divide(bnd[start : start + masks.size], size, out=np.full(masks.size, np.inf),
+                          where=(size >= 1) & (size <= n // 2))
+        low = ratio.min()
+        if low < best:
+            best, cands = low, []
+        if low == best:
+            cands.append(masks[ratio == best])
+    witness_mask = _lex_min_mask(np.concatenate(cands), n)
     witness = VertexSet.from_indices(n, [i for i in range(n) if witness_mask >> i & 1])
-    return CheegerEstimate(kind="exact", witness=witness, value=best)
+    value = Fraction(int(bnd[witness_mask]), witness_mask.bit_count())
+    return CheegerEstimate(kind="exact", witness=witness, value=value)
 
 
 def average(g: LabeledGraph, x: np.ndarray) -> np.ndarray:

@@ -240,6 +240,25 @@ def test_degenerate_graph_gives_a_document_not_a_traceback(tmp_path, capsys, n, 
         assert "Traceback" not in err
 
 
+def test_empty_seed_or_word_list_names_its_cause(tmp_path, capsys):
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps({"format_version": 1, "n": 0, "generators": [{"name": "a", "inverse": "a", "perm": []}]}))
+    bare = tmp_path / "bare.json"
+    bare.write_text(json.dumps({"format_version": 1, "n": 3, "generators": []}))
+    s3 = tmp_path / "s3.json"
+    run(["gen", "cayley", "--group", "s3", "-o", str(s3)])
+    capsys.readouterr()
+    runs = [
+        (["cluster-group", empty, "--auto"], "--auto found no automorphism: the graph has n=0 vertices"),
+        (["cluster-group", s3], "no seed maps: pass --map or --auto"),
+        (["sofic", bare], "no reduced words: the graph has no generators"),
+        (["sofic", s3, "--max-len", "0"], "no reduced words: --max-len 0 allows no nonempty word"),
+    ]
+    for argv, message in runs:
+        assert run([str(a) for a in argv]) == 1, argv
+        assert json.loads(capsys.readouterr().out)["error"]["message"] == message
+
+
 def test_lef_check_without_gamma_labels_is_a_domain_error(tmp_path, capsys):
     g = tmp_path / "g.json"
     run(["gen", "cayley", "--group", "s3xz4", "-o", str(g)])

@@ -1,4 +1,5 @@
-"""Every demo script runs to completion."""
+"""Every demo script runs to completion, with numpy's RuntimeWarnings as errors
+(the policy pyproject.toml sets for the tests)."""
 
 import os
 import subprocess
@@ -19,7 +20,7 @@ def test_demos_are_found():
 def test_demo_runs(demo):
     path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
-        [sys.executable, str(demo)],
+        [sys.executable, "-W", "error::RuntimeWarning", str(demo)],
         capture_output=True,
         text=True,
         timeout=120,

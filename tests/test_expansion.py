@@ -73,15 +73,38 @@ def test_cheeger_exact_limit():
 
 
 def test_cheeger_exact_matches_brute_force(rng):
-    for _ in range(20):
-        n = int(rng.integers(5, 11))
-        g = random_simple_graph(rng, n)
-        value, _ = brute_cheeger(g)
+    graphs = [random_simple_graph(rng, int(rng.integers(5, 11))) for _ in range(20)]
+    # multigraphs: parallel slots, loops and 2-cycles of paired symbols
+    graphs += [
+        random_permutation_model(n, pairs, int(rng.integers(2**31)))
+        for n in range(2, 11)
+        for pairs in range(4)
+    ]
+    # a self-inverse symbol with fixed points (loops) beside a paired one
+    involution = np.array([1, 0, 3, 2, 4, 5, 6])
+    step = np.roll(np.arange(7), -2)
+    graphs.append(make_labeled_graph(7, GeneratorSet.from_pairs([("t", "t"), ("a", "A")]), [involution, step, np.argsort(step)]))
+    for g in graphs:
+        value, witness = brute_cheeger(g)
         est = cheeger_exact(g)
-        assert est.value == value
+        assert (est.value, tuple(est.witness.indices().tolist())) == (value, witness)
         # witness soundness: recompute the ratio independently
         b, _ = boundary(g, est.witness)
         assert Fraction(b, est.witness.cardinality) == est.value
+
+
+def test_cheeger_exact_memory_per_subset():
+    n = expansion.EXHAUSTIVE_LIMIT
+    g = random_permutation_model(n, 2, 5)
+    tracemalloc.start()
+    try:
+        est = cheeger_exact(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert est.witness.cardinality <= n // 2
+    # one int32 boundary table (4 bytes per subset) plus chunk-sized temporaries
+    assert peak <= 6 * 2**n, f"{peak / 2**n:.2f} bytes per subset"
 
 
 def test_cheeger_witness_is_lex_smallest(rng):
