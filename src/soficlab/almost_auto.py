@@ -7,14 +7,19 @@ for simple graphs its edge boundary is exactly twice the number of bad edges,
 and shrinking that boundary is what the improvement pipeline does: smooth the
 indicator of the graph with the averaging operator, take the best sweep cut
 near the original set, then repair the result to the graph of a bijection.
-The product graph is never built: ``expansion.average`` and
-``expansion.prefix_boundary_counts`` act on ``(n, n)`` arrays, cell ``[x, y]``
+The product graph is never built: ``expansion.smooth`` and
+``expansion.prefix_boundary_counts`` act on the n^2 cells, cell ``x * n + y``
 being the product vertex ``(x, y)``, and :func:`defect_of_map` has the
-boundary of the graph in closed form.  The smoothing runs in row blocks, one
-per available CPU, with bit-identical results for any number of blocks.  The
-sweep orders and counts only the top K of the n^2 cells, K certified to hold
-the pick (see :func:`improve`), so past the smoothing the work scales with
-the chosen set, not with n^2.
+boundary of the graph in closed form.  After j smoothing steps the values
+are zero outside the j-step neighbourhood of the graph, so while that
+neighbourhood is small a step computes only its cells, each from all k
+gathers in symbol order, zeros included, as a dense pass does; later steps
+are dense passes in row blocks, one per available CPU.  The values are
+bit-identical either way, and the smoothing gap is summed in place over the
+whole n^2 buffer, as a dense pass would sum it.  The sweep orders and
+counts only the top K of the n^2 cells, K certified to hold the pick (see
+:func:`improve`), so past the smoothing the work scales with the chosen set,
+not with n^2.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ import numpy as np
 
 from .core_graph import LabeledGraph, RootedBall, VertexSet, good_vertices, is_connected, rooted_ball
 from .errors import InvalidMapFile, LengthMismatch, NotBijective
-from .expansion import average, descending_order, lambda2, prefix_boundary_counts
+from .expansion import descending_order, lambda2, prefix_boundary_counts, smooth
 
 REPAIR_RESCORING_LIMIT = 512
 # improve() sweeps the full order at once when the first certified prefix,
@@ -174,6 +179,7 @@ class ImprovementTrace:
     pairs_added: int
     empirical_moved_ratio: float | None  # hamming_moved / (initial bad edges)
     sweep_cells: int  # K of the certified top-K sweep, n^2 for the full order
+    smoothed_cells: int  # cells computed over all smoothing steps, n^2 per dense step
 
     def as_dict(self) -> dict:
         doc = dict(self.__dict__)
@@ -259,6 +265,15 @@ def improve(
 ) -> tuple[VertexMap, ImprovementTrace]:
     """Improve an almost automorphism by spectral sweep rounding plus repair.
 
+    The smoothed indicator is ``M^steps chi_T`` from ``expansion.smooth``.
+    While the support is small, a step computes only the cells next to the
+    previous step's support, from all k gathers in symbol order, zeros
+    included; later steps are whole dense passes.  The values are
+    bit-identical to dense passes throughout.  ``trace.smoothed_cells``
+    counts the cells computed, n^2 per dense step, and
+    ``trace.smoothing_gap`` is ``||chi_T - M chi_T||^2``, summed over the
+    whole n^2 buffer in place.
+
     The sweep picks, among the prefixes of the descending order of the
     smoothed indicator that satisfy ``|bd(U)| <= alpha |U|``, one with the
     smallest symmetric difference ``d`` to T, then the smallest ratio, then
@@ -296,15 +311,10 @@ def improve(
             warnings.warn("graph of the map misses the good set; improving over the full graph")
         t_rows = np.arange(n)
     t_size = int(t_rows.size)
+    t_cells = t_rows * n + c.images[t_rows]
     t_mask = np.zeros(big_n, dtype=bool)
-    t_mask[t_rows * n + c.images[t_rows]] = True
-
-    chi = t_mask.reshape(n, n)
-    smoothed = average(g, chi.astype(np.float64))
-    smoothing_gap = float(((chi - smoothed) ** 2).sum())
-    for _ in range(cfg.smoothing_steps - 1):
-        smoothed = average(g, smoothed)
-    smoothed = smoothed.ravel()
+    t_mask[t_cells] = True
+    smoothed, smoothing_gap, smoothed_cells = smooth(g, t_cells, cfg.smoothing_steps)
 
     # top-K sweep, K certified as in the docstring: delta_t[j] >= j - t_size
     k = 2 * t_size + 1
@@ -386,6 +396,7 @@ def improve(
         pairs_added=pairs_added,
         empirical_moved_ratio=(hamming_moved / initial.bad_edges) if initial.bad_edges else None,
         sweep_cells=k,
+        smoothed_cells=smoothed_cells,
     )
     return result, trace
 

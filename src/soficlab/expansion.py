@@ -50,6 +50,9 @@ _CHUNK = 1 << 20
 # and cells per tile of rows within a block, counting the rows of all k gathers
 _BLOCK_MIN_CELLS = 1 << 15
 _TILE_CELLS = 1 << 16
+# smooth(): a step runs on its frontier while this share of k times the
+# support is below the n^2 cells; a dense pass streams, a frontier step gathers
+_FRONTIER_SHARE = 16
 
 
 @dataclass
@@ -113,7 +116,8 @@ def cheeger_exact(g: LabeledGraph, exhaustive_limit: int = EXHAUSTIVE_LIMIT) -> 
     Ties break to the lexicographically smallest witness.  One int32 table,
     4 bytes per subset (64 MB at n = 24), holds every boundary; it is filled
     in place by |bd(S + v)| = |bd(S)| + deg(v) - 2 slots(v, S) for S within
-    {0..v-1}, then read once in chunks for the least ratio and its masks.
+    {0..v-1}, then read once in chunks for the least ratio, keeping the
+    lex-min mask of each chunk that reaches it.
     """
     n = g.n
     if n > exhaustive_limit:
@@ -136,7 +140,9 @@ def cheeger_exact(g: LabeledGraph, exhaustive_limit: int = EXHAUSTIVE_LIMIT) -> 
     # Comparing ratios as float64 is exact: division is correctly rounded, so
     # equal fractions give equal floats, and distinct ones with denominators
     # <= n/2 differ by >= 1/(n/2)**2, far above the rounding of int32 numerators.
-    best, cands = np.inf, []
+    # The lex-min of all minimising masks is the lex-min of the per-chunk
+    # lex-mins, so one mask per chunk is kept.
+    best, winners = np.inf, []
     for start in range(0, total, _CHUNK):
         masks = np.arange(start, min(start + _CHUNK, total), dtype=np.uint32)
         size = np.bitwise_count(masks)
@@ -144,10 +150,10 @@ def cheeger_exact(g: LabeledGraph, exhaustive_limit: int = EXHAUSTIVE_LIMIT) -> 
                           where=(size >= 1) & (size <= n // 2))
         low = ratio.min()
         if low < best:
-            best, cands = low, []
+            best, winners = low, []
         if low == best:
-            cands.append(masks[ratio == best])
-    witness_mask = _lex_min_mask(np.concatenate(cands), n)
+            winners.append(_lex_min_mask(masks[ratio == best], n))
+    witness_mask = _lex_min_mask(np.array(winners, dtype=np.uint32), n)
     witness = VertexSet.from_indices(n, [i for i in range(n) if witness_mask >> i & 1])
     value = Fraction(int(bnd[witness_mask]), witness_mask.bit_count())
     return CheegerEstimate(kind="exact", witness=witness, value=value)
@@ -165,7 +171,9 @@ def average(g: LabeledGraph, x: np.ndarray) -> np.ndarray:
     calling thread.  A block runs in tiles of rows whose gathers for all
     symbols stay in cache, so no ``(k, n, n)`` temporary is made.  Every cell
     sums the same terms in the same order whatever the split, so the result
-    is bit-identical for any number of blocks.
+    is bit-identical for any number of blocks.  :func:`smooth` iterates this
+    operator on ``g x g`` from an indicator; its steps run this kernel only
+    once the support is large, and compute the few reachable cells before.
     """
     if len(g.gens) == 0:
         raise ValueError("graph has no generators")
@@ -180,12 +188,111 @@ def average(g: LabeledGraph, x: np.ndarray) -> np.ndarray:
     if actions.size * x.shape[0] <= _TILE_CELLS:  # a single tile
         return _average_tile(actions, actions, x)
     out = np.empty_like(x)
+    _average_into(actions, x, out)
+    return out
+
+
+def smooth(g: LabeledGraph, cells: np.ndarray, steps: int) -> tuple[np.ndarray, float, int]:
+    """``M^steps chi`` on ``g x g`` for the indicator ``chi`` of the distinct
+    flat cell ids ``cells`` (cell ``x * n + y`` is the product vertex
+    ``(x, y)``), with the gap ``||chi - M chi||^2`` and the number of cells
+    computed over all steps (n^2 for a dense step).  The values are a flat
+    float64 array of n^2 cells, bit-identical to ``steps`` calls of
+    :func:`average`.
+
+    M^j chi is zero outside the j-step neighbourhood of ``cells``.  While the
+    support S of the current values (``cells``, then the cells the previous
+    step computed) is small, ``_FRONTIER_SHARE * k * |S| < n^2``, a step runs
+    on its frontier: it computes only the cells ``(s.x, s.y)`` for ``(x, y)``
+    in S and every symbol ``s``; the symbols are closed under inverses, so
+    these are all the cells with a neighbour in S.  Each such cell sums all k
+    gathers in symbol order, zeros included, and divides by k, the
+    arithmetic of :func:`average`, so every value is bit-identical to the
+    dense pass.  Once the support is large, the steps are dense passes of
+    :func:`average`'s row-block kernel, written into the spare buffer.
+
+    Two n^2 float64 buffers take turns as input and output; a frontier step
+    zeroes only the cells its output buffer was last written at.  The gap is
+    taken in the buffer that held ``chi``: subtract and square in place (on
+    the cells written only, after a frontier step), then a sum over the
+    whole contiguous ``(n, n)`` view, the same pairwise summation as
+    ``((chi - M chi) ** 2).sum()``.
+    """
+    k = len(g.gens)
+    if k == 0:
+        raise ValueError("graph has no generators")
+    if steps < 1:
+        raise ValueError("steps must be >= 1")
+    actions, n = g.actions, g.n
+    size = n * n
+    support = np.asarray(cells, dtype=np.int64)
+    cur, spare = np.zeros(size), np.zeros(size)
+    cur[support] = 1.0
+    scaled = actions * n
+    marks = np.zeros(size, dtype=bool)  # the cells of the next frontier step
+    held, spare_held = support, support[:0]  # cells where cur and spare may be non-zero
+    frontier = _FRONTIER_SHARE * k * support.size < size
+    if frontier:
+        for moved in _moved_cells(scaled, actions, support, n):
+            marks[moved] = True
+    computed, gap = 0, 0.0
+    for step in range(steps):
+        on_frontier = frontier
+        if on_frontier:
+            spare[spare_held] = 0.0
+            support = np.flatnonzero(marks)
+            marks[support] = False
+            # once a step is dense, every later step is: the support never shrinks
+            frontier = step + 1 < steps and _FRONTIER_SHARE * k * support.size < size
+            total = None
+            for moved in _moved_cells(scaled, actions, support, n):
+                if frontier:
+                    marks[moved] = True
+                gathered = cur.take(moved)
+                if total is None:
+                    total = gathered
+                else:
+                    total += gathered
+            total /= k
+            spare[support] = total
+            spare_held = support
+            computed += support.size
+        else:
+            _average_into(actions, cur.reshape(n, n), spare.reshape(n, n))
+            computed += size
+        if step == 0:  # cur holds chi, spare M chi
+            if on_frontier:
+                held = np.concatenate((held, support))
+                cur[held] = np.square(cur[held] - spare[held])
+            else:
+                np.subtract(cur, spare, out=cur)
+                np.square(cur, out=cur)
+            gap = float(cur.reshape(n, n).sum())
+        cur, spare = spare, cur
+        held, spare_held = spare_held, held
+    return cur, gap, computed
+
+
+def _moved_cells(scaled: np.ndarray, actions: np.ndarray, cells: np.ndarray, n: int):
+    """For each symbol ``s`` in order, the flat ids of the cells
+    ``(s.x, s.y)`` of the flat cells ``(x, y)``; ``scaled`` is
+    ``actions * n``."""
+    rows, cols = np.divmod(cells, n)
+    for p_scaled, p in zip(scaled, actions):
+        moved = p_scaled.take(rows)
+        moved += p.take(cols)
+        yield moved
+
+
+def _average_into(actions: np.ndarray, x: np.ndarray, out: np.ndarray):
+    """``average`` on shape ``(n, n)`` into ``out``: one row block per usable
+    CPU once every block has at least 2**15 cells, else one block in the
+    calling thread."""
     blocks = x.size // _BLOCK_MIN_CELLS
     if blocks > 1:
         _average_row_blocks(actions, x, out, min(blocks, _usable_cpus()))
     else:
         _average_rows(actions, x, out, 0, x.shape[0])
-    return out
 
 
 def _usable_cpus() -> int:
@@ -448,20 +555,23 @@ def descending_order(vec: np.ndarray, limit: int | None = None) -> np.ndarray:
     """Vertices by value descending, ties by vertex index; only the first
     ``limit >= 1`` of them when ``limit`` is given.
 
-    A partial order comes from one ``np.partition`` at the ``limit``-th
-    value: every cell above that value, then the tied cells with the
-    smallest indices, and a sort of those ``limit`` cells only."""
-    neg = -vec
+    A partial order comes from one in-place partition of the negated values
+    at the ``limit``-th: every cell above that value, then the tied cells
+    with the smallest indices, and a sort of those ``limit`` cells only.
+    The negated copy is the one array of the size of ``vec`` that is made."""
     if limit is None or limit >= vec.size:
-        return np.lexsort((np.arange(vec.size), neg))
-    kth = np.partition(neg, limit - 1)[limit - 1]
-    before = neg < kth
-    tied = neg == kth
+        return np.lexsort((np.arange(vec.size), -vec))
+    neg = np.negative(vec)
+    neg.partition(limit - 1)
+    kth = neg[limit - 1]
+    del neg
     if np.isnan(kth):  # NaN sorts last; every number comes before it
-        before, tied = ~np.isnan(neg), np.isnan(neg)
+        before, tied = ~np.isnan(vec), np.isnan(vec)
+    else:
+        before, tied = vec > -kth, vec == -kth
     above = np.flatnonzero(before)
     top = np.concatenate((above, np.flatnonzero(tied)[: limit - above.size]))
-    return top[np.lexsort((top, neg[top]))]
+    return top[np.lexsort((top, -vec[top]))]
 
 
 def sweep_cut(g: LabeledGraph, vec) -> tuple[VertexSet, float]:

@@ -244,6 +244,26 @@ def test_improve_memory_budget():
     assert improve_peak - before < 16 * 8 * big_n
 
 
+def test_improve_peak_is_below_three_float_arrays_per_cell():
+    # two smoothing buffers, then the smoothed values beside one negated copy
+    # in descending_order; the parent peaked at 25 bytes per cell in the
+    # smoothing gap's two n^2 temporaries
+    n = 1000
+    g = random_permutation_model(n, 2, seed=n)
+    cfg = ImprovementConfig()
+    ws = ImprovementWorkspace(g, cfg)
+    corrupted = VertexMap(_transposed(np.arange(n), n // 200, np.random.default_rng(2)))
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        _, trace = improve(g, corrupted, cfg, workspace=ws)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert trace.final.bad_edges == 0
+    assert peak - before <= 3 * 8 * n * n, f"{(peak - before) / n / n:.2f} bytes per cell"
+
+
 @pytest.mark.filterwarnings("ignore:graph of the map misses the good set")
 def test_improve_deterministic(rng):
     g = random_simple_graph(rng, 14)
@@ -390,8 +410,8 @@ def improve_corpus():
 
 def improve_corpus_digest(cases) -> str:
     """sha256 over every improved map and trace, the trace without
-    ``sweep_cells`` (a counter of how the sweep got there, not of what it
-    found)."""
+    ``sweep_cells`` and ``smoothed_cells`` (counters of how the sweep and
+    the smoothing got there, not of what they found)."""
     digest = hashlib.sha256()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -401,6 +421,7 @@ def improve_corpus_digest(cases) -> str:
                 improved, trace = improve(g, VertexMap(images), cfg, workspace=ws)
                 doc = trace.as_dict()
                 doc.pop("sweep_cells", None)
+                doc.pop("smoothed_cells", None)
                 digest.update(improved.images.astype("<i8").tobytes())
                 digest.update(json.dumps(doc, sort_keys=True).encode())
     return digest.hexdigest()
@@ -414,6 +435,72 @@ def test_improve_corpus_matches_the_pinned_digest():
     # Re-pinned again when disconnected graphs got the 1e-9 alpha floor: only
     # the two-component involution model's alpha moved (4.16e-16 -> 1e-9).
     assert improve_corpus_digest(improve_corpus()) == "0d1aa00433f6296f9d349e424ac14620e3901d1d87b3c3f9ead786b9af5a0a51"
+
+
+def _misses_the_good_set(good: np.ndarray, rng) -> np.ndarray:
+    """A bijection that swaps every good vertex with a bad one, so that its
+    graph has no cell with both coordinates good (needs at most half good)."""
+    good_vertices, bad_vertices = np.flatnonzero(good), np.flatnonzero(~good)
+    partners = rng.choice(bad_vertices, good_vertices.size, replace=False)
+    images = np.arange(good.size)
+    images[good_vertices], images[partners] = partners, good_vertices
+    return images
+
+
+def _smoothing_cases():
+    """(graph, config, input maps) with 1..10 smoothing steps on graphs whose
+    self-inverse symbol has fixed points; the first map of each case misses
+    the good set, so T is the whole graph of the map."""
+    cases = []
+    for steps in range(1, 11):
+        rng = np.random.default_rng(steps)
+        n = 30 + 13 * steps
+        g = _involution_model(n, steps)
+        cfg = ImprovementConfig(smoothing_steps=steps)
+        degraded = _misses_the_good_set(ImprovementWorkspace(g, cfg).good.mask, rng)
+        cases.append((g, cfg, [degraded, _transposed(np.arange(n), 2, rng), rng.permutation(n)]))
+    return cases
+
+
+@pytest.mark.filterwarnings("ignore:graph of the map misses the good set")
+def test_frontier_smoothing_equals_dense_smoothing(monkeypatch):
+    # share 0 runs every smoothing step on its frontier, share inf every
+    # step dense: maps and traces agree bit for bit, smoothing_gap included
+    # (json writes floats by repr, which round-trips), on the pinned corpus
+    # and on the random cases
+    cases = improve_corpus() + _smoothing_cases()
+    runs = {}
+    for share in (0, math.inf):
+        monkeypatch.setattr(expansion, "_FRONTIER_SHARE", share)
+        runs[share] = []
+        for g, cfg, maps in cases:
+            ws = ImprovementWorkspace(g, cfg)
+            for images in maps:
+                improved, trace = improve(g, VertexMap(images), cfg, workspace=ws)
+                doc = trace.as_dict()
+                fraction_computed = doc.pop("smoothed_cells") / (cfg.smoothing_steps * g.n * g.n)
+                runs[share].append((improved.images.tolist(), json.dumps(doc, sort_keys=True), fraction_computed))
+    for frontier, dense in zip(runs[0], runs[math.inf]):
+        assert frontier[:2] == dense[:2]
+        assert frontier[2] <= dense[2] == 1.0
+    assert sum(json.loads(doc)["good_set_degraded"] for _, doc, _ in runs[0]) >= 10
+
+
+@pytest.mark.filterwarnings("ignore:graph of the map misses the good set")
+def test_improve_reports_smoothed_cells(monkeypatch):
+    n = 1000
+    g = random_permutation_model(n, 2, seed=n)
+    cfg = ImprovementConfig()
+    ws = ImprovementWorkspace(g, cfg)
+    corrupted = VertexMap(_transposed(np.arange(n), n // 200, np.random.default_rng(2)))  # 1% moved
+    improved, trace = improve(g, corrupted, cfg, workspace=ws)
+    # the first steps run on the few cells next to T
+    assert trace.smoothed_cells < cfg.smoothing_steps * n * n
+    assert trace.as_dict()["smoothed_cells"] == trace.smoothed_cells
+    monkeypatch.setattr(expansion, "_FRONTIER_SHARE", math.inf)
+    dense_improved, dense = improve(g, corrupted, cfg, workspace=ws)
+    assert dense.smoothed_cells == cfg.smoothing_steps * n * n
+    assert dense_improved == improved
 
 
 @pytest.mark.filterwarnings("ignore:graph of the map misses the good set")

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import time
 import tracemalloc
 from fractions import Fraction
@@ -20,6 +21,7 @@ from soficlab.expansion import (
     descending_order,
     lambda2,
     prefix_boundary_counts,
+    smooth,
     sweep_cut,
 )
 from soficlab.sofic import random_permutation_model
@@ -105,6 +107,17 @@ def test_cheeger_exact_memory_per_subset():
     assert est.witness.cardinality <= n // 2
     # one int32 boundary table (4 bytes per subset) plus chunk-sized temporaries
     assert peak <= 6 * 2**n, f"{peak / 2**n:.2f} bytes per subset"
+    # the edgeless graph: every set of size 1..n/2 has ratio 0, so every chunk
+    # is full of minimising masks and only its lex-min may be kept; brute force
+    # is out of reach at this n, but its answer is the lex-smallest singleton
+    tracemalloc.start()
+    try:
+        est = cheeger_exact(random_permutation_model(n, 0, 0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (est.value, tuple(est.witness.indices().tolist())) == (Fraction(0), (0,))
+    assert peak <= 6 * 2**n, f"{peak / 2**n:.2f} bytes per subset on the edgeless graph"
 
 
 def test_cheeger_witness_is_lex_smallest(rng):
@@ -379,3 +392,60 @@ def test_average_row_blocks_are_bit_identical(rng, monkeypatch, tile_cells):
             out = np.full_like(x, np.nan)
             expansion._average_row_blocks(g.actions, x, out, blocks)
             assert np.array_equal(out.view(np.int64), expected)
+
+
+def test_partial_descending_order_makes_one_copy():
+    # the negated values are the one array of the size of vec; the parent
+    # made a second one for np.partition (16 bytes per cell)
+    vec = np.random.default_rng(3).random(1 << 20)
+    tracemalloc.start()
+    try:
+        order = descending_order(vec, 1000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert order.tolist() == np.argsort(-vec, kind="stable")[:1000].tolist()
+    assert peak <= 10 * vec.size, f"{peak / vec.size:.2f} bytes per cell"
+
+
+def _neighbourhood_sizes(g, cells, steps):
+    """|N_j| for j = 1..steps on the product graph, N_0 the cells and N_j the
+    cells with a neighbour in N_{j-1}."""
+    prod = product_graph(g, g)
+    mask = np.zeros(g.n * g.n, dtype=bool)
+    mask[cells] = True
+    sizes = []
+    for _ in range(steps):
+        mask = mask[prod.actions].any(axis=0)
+        sizes.append(int(mask.sum()))
+    return sizes
+
+
+@pytest.mark.parametrize("share", [0, expansion._FRONTIER_SHARE, math.inf])
+def test_smooth_is_bit_identical_to_repeated_average(rng, monkeypatch, share):
+    # share 0 runs every step on its frontier, share inf every step dense
+    monkeypatch.setattr(expansion, "_FRONTIER_SHARE", share)
+    for g in small_non_simple_graphs() + [random_permutation_model(40, 2, seed=4)]:
+        n = g.n
+        for size in {1, n, n * n // 3}:
+            cells = rng.choice(n * n, size, replace=False)
+            chi = np.zeros((n, n))
+            chi.ravel()[cells] = 1.0
+            powers = [average(g, chi)]
+            gap = float(((chi - powers[0]) ** 2).sum())
+            for _ in range(7):
+                powers.append(average(g, powers[-1]))
+            neighbourhoods = _neighbourhood_sizes(g, cells, len(powers))
+            for steps, expected in enumerate(powers, 1):
+                values, got_gap, computed = smooth(g, cells, steps)
+                assert np.array_equal(values.view(np.int64), expected.ravel().view(np.int64))
+                assert got_gap.hex() == gap.hex()
+                if share == 0:
+                    assert computed == sum(neighbourhoods[:steps])
+                elif share == math.inf:
+                    assert computed == steps * n * n
+
+
+def test_smooth_rejects_a_graph_without_generators():
+    with pytest.raises(ValueError, match="no generators"):
+        smooth(random_permutation_model(5, 0, 0), np.arange(5), 3)
