@@ -298,7 +298,7 @@ def run(argv) -> int:
     start = time.perf_counter()
     try:
         outputs, doc = _HANDLERS[args.command](args)
-    except (SoficlabError, ValueError, OSError, KeyError) as exc:
+    except (SoficlabError, ValueError, OSError, KeyError, MemoryError) as exc:
         sys.stdout.write(_dump({"error": {"type": type(exc).__name__, "message": str(exc)}}))
         return 1
     wall = time.perf_counter() - start

@@ -11,31 +11,35 @@ Distance thresholds are compared in exact integer arithmetic
 
 Every distinct map that one ``cluster_group`` call meets (seeds, inverses and
 improvements) is interned once as an integer id, its row in the closure's
-``pool``; clusters are lists of ids and each id caches its cluster.  The
-cluster closure asks for the improvement of the same few maps many times
-(28,800 requests on 24 distinct maps for Cay(S4)), so ``_Closure`` memoises
-the id of the checked improvement by the bytes of the input map.  The memo is
-exact: ``improve`` is deterministic for a fixed graph, config and workspace,
-and all three are fixed for the lifetime of one ``_Closure``, i.e. one
+``pool``; clusters are lists of ids and each id caches its cluster.  Every
+improvement asked for is that of a product pool[i] . pool[j], and the same
+few are asked for many times (28,800 requests on 24 distinct inputs for
+Cay(S4)).  ``_Closure.product(i, j)`` answers from a pair table over ids, -1
+until asked; a miss gathers the product once and looks its bytes up in a
+memo of checked improvements, so ``improve`` runs once per distinct input.
+Both are exact: ``improve`` is deterministic for a fixed graph, config and
+workspace, and all three are fixed for one ``_Closure``, i.e. one
 ``cluster_group`` call.  Only improvements that passed both hypothesis checks
-are stored, so a failing input raises again each time it is requested.
-Warnings of ``improve`` (such as "graph of the map misses the good set") fire
-once per distinct input, not once per request.
+are stored, so a failing input raises again each time it is requested, and
+warnings of ``improve`` fire once per distinct input, not once per request.
 
 The table and the associativity inequality work on ids.  Write P[i, j] for
 the id of the improved product of representatives i and j and t for the
 table.  Where P[b, c] is the id of representative t[b, c], the input of
 a.(bc) is the product input of (a, t[b, c]), so its improvement is
-P[a, t[b, c]] without a request to the memo; likewise (ab).c is
+P[a, t[b, c]] without asking the closure; likewise (ab).c is
 P[t[a, b], c] where P[a, b] is the id of its representative.  Equal ids are
 the same map, at distance 0; only pairs of differing ids are compared row by
-row, so no k x k x n array is formed.  The memo keys hold n ints per
-distinct input: at most 2k^2 + 2km for k clusters, m of whose k^2 products
-are not their representative (closure products, table products and the
-inequality's inputs).  The pool holds n ints per distinct map: the seeds,
-the inverses of the closure's and of the final representatives (at most 2k),
-the identity and the distinct improvements.  On Cay(S4) both hold 24; on the
-pinned corrupted Cay(S4) document the memo holds 611 and the pool 40.
+row, so no k x k x n array is formed.  The pool holds n int64 per distinct
+map: the seeds, the inverses of the closure's and of the final
+representatives (at most 2k), the identity and the distinct improvements.
+Its row capacity r doubles as it fills; the pair table beside it holds r^2
+int32, on Cay(S6) (720 maps on 720 vertices, r = 1024) 4 MB beside the
+pool's 5.6 MB.  The memo keys hold n int64 per distinct input: at most
+2k^2 + 2km for k clusters, m of whose k^2 products are not their
+representative (closure products, table products and the inequality's
+inputs).  On Cay(S4) the memo and the pool hold 24 each; on the pinned
+corrupted Cay(S4) document the memo holds 611 and the pool 40.
 """
 
 from __future__ import annotations
@@ -218,8 +222,8 @@ class ClusterGroup:
     inverse_map: np.ndarray
     graph: LabeledGraph
     delta: float
-    # improvements the algorithm consumed, whether an improve call, a memo hit
-    # or an index identity of the table answered them
+    # improvements the algorithm consumed, whether an improve call, the pair
+    # table, the memo or an index identity of the table answered them
     improve_requests: int
     improve_calls: int  # memo misses, i.e. actual improve calls
     closure_rounds: int
@@ -270,10 +274,10 @@ def _checked_improvement(g: LabeledGraph, delta: float, cfg: ImprovementConfig):
 class _Closure:
     """Grows the cluster family until it is closed under product and inverse.
 
-    Every distinct map gets one id, its row in ``pool``.  ``improved`` is the
-    checked improvement of an image row; its results are memoised by input
-    bytes for the lifetime of the object, see the module docstring for why
-    that is exact.  Clusters are lists of ids.
+    Every distinct map gets one id, its row in ``pool``; clusters are lists
+    of ids.  ``product(i, j)`` is the id of the checked improvement
+    ``improved`` of pool[i] . pool[j], kept per pair of ids in ``pairs`` and
+    per input in ``memo``; the module docstring says why that is exact.
     """
 
     def __init__(self, n: int, improved, bound: int):
@@ -281,6 +285,7 @@ class _Closure:
         self.improved = improved
         self.bound = bound
         self.pool = np.empty((16, n), dtype=np.int64)  # rows [0, len(ids)) are maps
+        self.pairs = np.full((16, 16), -1, dtype=np.int32)  # (i, j) -> product(i, j), grown with pool
         self.ids: dict[bytes, int] = {}  # map bytes -> id
         self.memo: dict[bytes, int] = {}  # input bytes -> id of its checked improvement
         self.cluster: list[int] = []  # cluster of each id, -1 until placed
@@ -297,31 +302,25 @@ class _Closure:
         if i is None:
             i = self.ids[key] = len(self.ids)
             if i == len(self.pool):
-                grown = np.empty((2 * i, self.n), dtype=np.int64)
-                grown[:i] = self.pool
-                self.pool = grown
+                self.pool = np.concatenate([self.pool, np.empty_like(self.pool)])
+                self.pairs = np.pad(self.pairs, (0, i), constant_values=-1)
             self.pool[i] = row
             self.cluster.append(-1)
         return i
 
-    def _improved(self, key: bytes) -> int:
-        i = self.memo.get(key)
-        if i is None:
-            self.calls += 1
-            i = self.memo[key] = self.intern(self.improved(np.frombuffer(key, dtype=np.int64)))
-        return i
-
-    def improved_row(self, row: np.ndarray) -> int:
-        """Id of the checked improvement of the map with int64 images ``row``."""
+    def product(self, i: int, j: int) -> int:
+        """Id of the checked improvement of pool[i] . pool[j], the map
+        x -> pool[i][pool[j][x]]."""
         self.requests += 1
-        return self._improved(row.tobytes())
-
-    def improved_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Ids of the checked improvements of the rows of an (r, n) int64
-        array, requested in row order."""
-        keys = rows.view(np.dtype((np.void, self.n * 8))).ravel().tolist()
-        self.requests += len(keys)
-        return np.fromiter(map(self._improved, keys), dtype=np.int64, count=len(keys))
+        p = self.pairs.item(i, j)
+        if p < 0:
+            key = self.pool[i][self.pool[j]].tobytes()
+            p = self.memo.get(key)
+            if p is None:
+                self.calls += 1
+                p = self.memo[key] = self.intern(self.improved(np.frombuffer(key, dtype=np.int64)))
+            self.pairs[i, j] = p
+        return p
 
     def place(self, i: int) -> int:
         """Cluster of map ``i``; a map farther than n/5 from every cluster
@@ -353,11 +352,11 @@ class _Closure:
             # pool rows are bijections: seeds are checked and improve returns bijections
             for i in range(done, size):
                 self.place(self.intern(np.argsort(self.stack[i])))
-            stack = self.stack[:size]
-            # the new pairs in row-major order, one gather per row
+            first = [mem[0] for mem in self.members[:size]]  # the ids of stack[:size]
+            # the new pairs in row-major order
             for i in range(size):
-                for row in stack[i][stack[done if i < done else 0 :]]:
-                    self.place(self.improved_row(row))
+                for j in first[done if i < done else 0 :]:
+                    self.place(self.product(first[i], j))
             done = size
 
 
@@ -394,12 +393,12 @@ class _Representatives:
     def products(self) -> tuple[np.ndarray, np.ndarray]:
         """The table and the k x k ids P of the improved products of all
         pairs of representatives, improved and located in row-major order."""
-        k = len(self.ids)
-        table = np.empty((k, k), dtype=np.int64)
-        prods = np.empty((k, k), dtype=np.int64)
-        for i in range(k):
-            for j, row in enumerate(self.stack[i][self.stack]):
-                prods[i, j] = p = self.closure.improved_row(row)
+        ids = self.ids.tolist()
+        table = np.empty((len(ids), len(ids)), dtype=np.int64)
+        prods = np.empty_like(table)
+        for i, a in enumerate(ids):
+            for j, b in enumerate(ids):
+                prods[i, j] = p = self.closure.product(a, b)
                 table[i, j] = self.locate(p)
         return table, prods
 
@@ -409,8 +408,8 @@ def _check_associativity_inequality(reps: _Representatives, table: np.ndarray, p
 
     a(bc) is the improvement of reps[a] . P[b, c] and (ab)c that of
     P[a, b] . reps[c], with P = ``prods``.  The index identities of the module
-    docstring answer the inputs whose product is its representative.  The
-    others go through the closure's memo in one batch per ``a``, left inputs
+    docstring answer the inputs whose product is its representative.  For
+    each ``a`` the others go through the closure's pair table, left inputs
     then right ones, each in row-major order, so the first failing
     improvement and the lexicographically first failing triple, which raises
     HypothesisViolation, are those of a scan over all 2k^3 inputs.  Returns
@@ -418,18 +417,17 @@ def _check_associativity_inequality(reps: _Representatives, table: np.ndarray, p
     """
     closure = reps.closure
     k, n = reps.stack.shape
+    ids = reps.ids.tolist()
     exact = prods == reps.ids[table]
-    inexact_rows = closure.pool[prods[~exact]]  # P[b, c] where not exact, row-major
+    inexact = prods[~exact].tolist()  # P[b, c] where not exact, row-major
     answered = 0
     for a in range(k):
         left = prods[a][table]  # a(bc) where exact[b, c]
         right = prods[table[a]]  # (ab)c where exact[a, b]
-        lefts = reps.stack[a][inexact_rows]
-        rights = closure.pool[prods[a][~exact[a]]][:, reps.stack].reshape(-1, n)
-        new = closure.improved_rows(np.concatenate([lefts, rights]))
-        answered += 2 * k * k - len(new)
-        left[~exact] = new[: len(lefts)]
-        right[~exact[a]] = new[len(lefts) :].reshape(-1, k)
+        left[~exact] = [closure.product(ids[a], p) for p in inexact]
+        rights = [closure.product(p, c) for p in prods[a][~exact[a]].tolist() for c in ids]
+        right[~exact[a]] = np.reshape(rights, (-1, k))
+        answered += 2 * k * k - len(inexact) - len(rights)
         dist = np.zeros((k, k), dtype=np.int64)  # equal ids are equal maps
         b, c = np.nonzero(left != right)
         left, right, pool = left[b, c], right[b, c], closure.pool
@@ -464,16 +462,17 @@ def cluster_group(
     d(a(bc), (ab)c) <= 4n/5 is verified for all representative triples, and
     the table itself must be exactly associative.
 
-    Every improvement goes through one memo that lives for this call only, so
-    ``improve`` runs once per distinct input map (exact, because ``improve``
-    is deterministic for the fixed graph, config and workspace).  The table
-    and the inequality work on map ids, as the module docstring describes,
-    in O(k^2 n + k^3) time when every product is its representative.  Warnings of ``improve`` fire once per
-    distinct input.  The result counts the improvement requests, i.e. every
-    improvement the algorithm consumes, whether an ``improve`` call, a memo
-    hit or an index identity answered it (the closure's products, k^2 for
-    the table and 2k^3 for the inequality), the actual ``improve`` calls and
-    the closure rounds.
+    Every improvement is that of a product of two map ids and goes through
+    one pair table and one memo that live for this call only, so ``improve``
+    runs once per distinct input map (exact, because ``improve`` is
+    deterministic for the fixed graph, config and workspace).  The table and
+    the inequality work on map ids, as the module docstring describes, in
+    O(k^2 n + k^3) time when every product is its representative.  Warnings
+    of ``improve`` fire once per distinct input.  The result counts the
+    improvement requests, i.e. every improvement the algorithm consumes,
+    whether an ``improve`` call, the pair table, the memo or an index
+    identity answered it (the closure's products, k^2 for the table and 2k^3
+    for the inequality), the actual ``improve`` calls and the closure rounds.
     """
     seeds = list(seed_maps)
     if not seeds:

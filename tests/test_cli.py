@@ -186,6 +186,18 @@ def test_usage_error_exit_code():
     assert build_parser().parse_args(["improve", "g.json", "--map", "m.txt", "--kappa", "0.5"]).kappa == 0.5
 
 
+def test_exact_cheeger_beyond_memory_is_an_error_document(tmp_path, capsys):
+    # 48 vertices ask cheeger_exact for a 2^48-entry table (1 PiB), which no
+    # allocator can give
+    g = tmp_path / "g.json"
+    assert run(["gen", "cayley", "--group", "z48", "-o", str(g)]) == 0
+    capsys.readouterr()
+    assert run(["cheeger", str(g), "--exact-limit", "48"]) == 1
+    out, err = capsys.readouterr()
+    assert json.loads(out)["error"]["type"].endswith("MemoryError")
+    assert "Traceback" not in err
+
+
 def test_missing_input_is_a_domain_error(tmp_path, capsys):
     rc = run(["cheeger", str(tmp_path / "missing.json")])
     assert rc == 1

@@ -250,7 +250,7 @@ def test_closure_rejects_improvement_that_moves_too_far():
     closure = _Closure(20, _checked_improvement(g, 0.0, ImprovementConfig()), bound=10)
     expected = r"moved a composition by distance 6 > n/5 \(n = 20, n/5 = 4, 4n/5 = 16\)"
     with pytest.raises(HypothesisViolation, match=expected):
-        closure.improved_row(c)
+        closure.product(closure.intern(c), closure.intern(np.arange(20)))
 
 
 def test_cluster_group_z5_is_cyclic():
@@ -308,11 +308,29 @@ def test_closure_does_not_cache_failed_improvements():
     c = np.roll(np.arange(20), -3)
     c[:6] = c[:6][::-1]
     closure = _Closure(20, _checked_improvement(g, 0.0, ImprovementConfig()), bound=10)
+    a, b = closure.intern(c), closure.intern(np.arange(20))
     for _ in range(2):
         with pytest.raises(HypothesisViolation, match="moved a composition"):
-            closure.improved_row(c)
+            closure.product(a, b)
     assert closure.memo == {}
+    assert closure.pairs[a, b] == -1
     assert (closure.requests, closure.calls) == (2, 2)
+
+
+def test_closure_pair_table_survives_growth():
+    # the second request for a pair is answered by the pair table, also after
+    # the pool and the table have grown past their initial 16 rows
+    closure = _Closure(10, _improvement({}), bound=10)
+    a, b = closure.intern(np.roll(np.arange(10), 1)), closure.intern(np.roll(np.arange(10), 2))
+    p = closure.product(a, b)
+    assert closure.pool[p].tolist() == np.roll(np.arange(10), 3).tolist()
+    size = len(closure.pool)
+    rng = np.random.default_rng(3)
+    while len(closure.ids) <= size:
+        closure.intern(rng.permutation(10))
+    assert len(closure.pool) > size and closure.pairs.shape == (len(closure.pool),) * 2
+    assert closure.product(a, b) == p
+    assert (closure.requests, closure.calls) == (2, 1)
 
 
 def test_closure_bound_raises_closure_failure():
@@ -344,7 +362,7 @@ def _representatives(stack, improved):
 
 def _index_path(stack, improved):
     """Table build and associativity inequality as ``cluster_group`` runs them;
-    returns the table, the inequality's requests to the memo and the
+    returns the table, the inequality's requests to the closure and the
     improvements its index identities answered."""
     closure, reps = _representatives(stack, improved)
     table, prods = reps.products()
@@ -593,11 +611,15 @@ def _sha256(doc) -> str:
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
 
 
-def test_cluster_group_on_corrupted_seeds_is_pinned():
+@pytest.mark.parametrize("block_cells", [clusters._BLOCK_CELLS, 1], ids=["default-blocks", "one-row-blocks"])
+def test_cluster_group_on_corrupted_seeds_is_pinned(monkeypatch, block_cells):
     # every third automorphism of Cay(S4) has two images swapped, so some
     # representatives are corrupted and the improved products differ from
     # them byte for byte; sha256 (counters included) computed with the
-    # per-product _locate table and the byte-path associativity check
+    # per-product _locate table and the byte-path associativity check.
+    # With one cell per block, _distances and the inequality's distance loop
+    # compare one row per block.
+    monkeypatch.setattr(clusters, "_BLOCK_CELLS", block_cells)
     table, gens = groups.preset_group("s4")
     g = cayley_graph(table, gens)
     rng = np.random.default_rng(7)
