@@ -46,7 +46,7 @@ _UNIT_ROUNDOFF = Fraction(1, 2**53)
 _SMALLEST_SUBNORMAL = Fraction(1, 2**1074)
 
 _CHUNK = 1 << 20
-# average() on (n, n): cells per row block below which threads do not pay,
+# smooth()'s dense steps: cells per row block below which threads do not pay,
 # and cells per tile of rows within a block, counting the rows of all k gathers
 _BLOCK_MIN_CELLS = 1 << 15
 _TILE_CELLS = 1 << 16
@@ -160,36 +160,18 @@ def cheeger_exact(g: LabeledGraph, exhaustive_limit: int = EXHAUSTIVE_LIMIT) -> 
 
 
 def average(g: LabeledGraph, x: np.ndarray) -> np.ndarray:
-    """The averaging operator ``(M x)[v] = mean_s x[s.v]`` on ``g`` (``x`` of
-    shape ``(n,)``) or on ``g x g`` (shape ``(n, n)``, cell ``[x, y]`` is the
-    product vertex ``(x, y)``, and ``s`` acts along both axes).  The result
-    is float64.
-
-    On ``g x g`` the rows are split into one block per CPU this process may
-    run on, each block on its own thread (``take`` releases the GIL), once
-    every block has at least 2**15 cells; smaller inputs are one block in the
-    calling thread.  A block runs in tiles of rows whose gathers for all
-    symbols stay in cache, so no ``(k, n, n)`` temporary is made.  Every cell
-    sums the same terms in the same order whatever the split, so the result
-    is bit-identical for any number of blocks.  :func:`smooth` iterates this
-    operator on ``g x g`` from an indicator; its steps run this kernel only
-    once the support is large, and compute the few reachable cells before.
+    """The averaging operator ``(M x)[v] = mean_s x[s.v]`` on a vector ``x``
+    of shape ``(n,)``: the gathers summed in symbol order, then divided by k.
+    The result is float64.  :func:`smooth` applies M on ``g x g``.
     """
     if len(g.gens) == 0:
         raise ValueError("graph has no generators")
     actions = g.actions
-    if x.ndim == 1:
-        total = x.take(actions[0]).astype(np.float64, copy=False)
-        for p in actions[1:]:
-            total += x.take(p)
-        total /= len(actions)
-        return total
-    x = np.ascontiguousarray(x, dtype=np.float64)
-    if actions.size * x.shape[0] <= _TILE_CELLS:  # a single tile
-        return _average_tile(actions, actions, x)
-    out = np.empty_like(x)
-    _average_into(actions, x, out)
-    return out
+    total = x.take(actions[0]).astype(np.float64, copy=False)
+    for p in actions[1:]:
+        total += x.take(p)
+    total /= len(actions)
+    return total
 
 
 def smooth(g: LabeledGraph, cells: np.ndarray, steps: int) -> tuple[np.ndarray, float, int]:
@@ -197,8 +179,7 @@ def smooth(g: LabeledGraph, cells: np.ndarray, steps: int) -> tuple[np.ndarray, 
     flat cell ids ``cells`` (cell ``x * n + y`` is the product vertex
     ``(x, y)``), with the gap ``||chi - M chi||^2`` and the number of cells
     computed over all steps (n^2 for a dense step).  The values are a flat
-    float64 array of n^2 cells, bit-identical to ``steps`` calls of
-    :func:`average`.
+    float64 array of n^2 cells.
 
     M^j chi is zero outside the j-step neighbourhood of ``cells``.  While the
     support S of the current values (``cells``, then the cells the previous
@@ -206,10 +187,10 @@ def smooth(g: LabeledGraph, cells: np.ndarray, steps: int) -> tuple[np.ndarray, 
     on its frontier: it computes only the cells ``(s.x, s.y)`` for ``(x, y)``
     in S and every symbol ``s``; the symbols are closed under inverses, so
     these are all the cells with a neighbour in S.  Each such cell sums all k
-    gathers in symbol order, zeros included, and divides by k, the
-    arithmetic of :func:`average`, so every value is bit-identical to the
-    dense pass.  Once the support is large, the steps are dense passes of
-    :func:`average`'s row-block kernel, written into the spare buffer.
+    gathers in symbol order, zeros included, and divides by k, so every
+    value is bit-identical to the dense pass.  Once the support is large, the
+    steps are dense passes of :func:`_average_row_blocks` into the spare
+    buffer, in n^2 // 2**15 row blocks, at least 1 and at most the usable CPUs.
 
     Two n^2 float64 buffers take turns as input and output; a frontier step
     zeroes only the cells its output buffer was last written at.  The gap is
@@ -231,6 +212,7 @@ def smooth(g: LabeledGraph, cells: np.ndarray, steps: int) -> tuple[np.ndarray, 
     scaled = actions * n
     marks = np.zeros(size, dtype=bool)  # the cells of the next frontier step
     held, spare_held = support, support[:0]  # cells where cur and spare may be non-zero
+    blocks = max(1, min(size // _BLOCK_MIN_CELLS, _usable_cpus()))  # row blocks of a dense step
     frontier = _FRONTIER_SHARE * k * support.size < size
     if frontier:
         for moved in _moved_cells(scaled, actions, support, n):
@@ -258,7 +240,7 @@ def smooth(g: LabeledGraph, cells: np.ndarray, steps: int) -> tuple[np.ndarray, 
             spare_held = support
             computed += support.size
         else:
-            _average_into(actions, cur.reshape(n, n), spare.reshape(n, n))
+            _average_row_blocks(actions, cur.reshape(n, n), spare.reshape(n, n), blocks)
             computed += size
         if step == 0:  # cur holds chi, spare M chi
             if on_frontier:
@@ -284,17 +266,6 @@ def _moved_cells(scaled: np.ndarray, actions: np.ndarray, cells: np.ndarray, n: 
         yield moved
 
 
-def _average_into(actions: np.ndarray, x: np.ndarray, out: np.ndarray):
-    """``average`` on shape ``(n, n)`` into ``out``: one row block per usable
-    CPU once every block has at least 2**15 cells, else one block in the
-    calling thread."""
-    blocks = x.size // _BLOCK_MIN_CELLS
-    if blocks > 1:
-        _average_row_blocks(actions, x, out, min(blocks, _usable_cpus()))
-    else:
-        _average_rows(actions, x, out, 0, x.shape[0])
-
-
 def _usable_cpus() -> int:
     """CPUs this process may run on; all CPUs where affinity is unknown."""
     try:
@@ -304,9 +275,17 @@ def _usable_cpus() -> int:
 
 
 def _average_row_blocks(actions: np.ndarray, x: np.ndarray, out: np.ndarray, blocks: int):
-    """``average`` on shape ``(n, n)`` into ``out``, the rows split into
-    ``blocks`` contiguous blocks, all but the first on their own threads."""
+    """``out[u, v] = mean_s x[s.u, s.v]``, the averaging operator on
+    ``g x g`` for ``x`` of shape ``(n, n)``, its rows split into ``blocks``
+    contiguous blocks, all but the first on their own threads (``take``
+    releases the GIL).  A block runs in tiles of rows whose gathers for all
+    symbols stay in cache, so no ``(k, n, n)`` temporary is made.  Every cell
+    sums its gathers in symbol order, then divides by k, so the result is
+    bit-identical for any number of blocks."""
     n = x.shape[0]
+    if blocks == 1:
+        _average_rows(actions, x, out, 0, n)
+        return
     bounds = [(n * b // blocks, n * (b + 1) // blocks) for b in range(blocks)]
     errors: list[BaseException] = []
 
@@ -329,8 +308,8 @@ def _average_row_blocks(actions: np.ndarray, x: np.ndarray, out: np.ndarray, blo
 
 
 def _average_rows(actions: np.ndarray, x: np.ndarray, out: np.ndarray, r0: int, r1: int):
-    """``out[r0:r1]`` of :func:`average`, in tiles of rows whose gathers for
-    all k symbols stay in cache."""
+    """``out[r0:r1]`` of :func:`_average_row_blocks`, in tiles of rows whose
+    gathers for all k symbols stay in cache."""
     k, n = actions.shape
     tile = max(1, _TILE_CELLS // (k * n))
     for a in range(r0, r1, tile):
@@ -501,7 +480,7 @@ def _top_eigenvector(a: list[float], b: list[float], sigma: float) -> list[float
 def prefix_boundary_counts(g: LabeledGraph, order: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """|bd(prefix_j)| along ``order``, the first K cells of a descending
     order of the N cells of ``shape``: ``(n,)`` for ``g``, ``(n, n)`` for
-    ``g x g`` as in :func:`average`.  Returns the counts of the prefix sizes
+    ``g x g`` as in :func:`smooth`.  Returns the counts of the prefix sizes
     j = 1..min(K, N-1), exact because every cell outside ``order`` gets
     rank K: an edge leaving the prefix is counted up to K however far out its
     other end lies.

@@ -32,10 +32,6 @@ class Word:
     letters: tuple[str, ...]
     expects_identity: bool
 
-    def __str__(self):
-        body = " ".join(self.letters) if self.letters else "<empty>"
-        return body if self.expects_identity else "! " + body
-
 
 @dataclass
 class SoficReport:

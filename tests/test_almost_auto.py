@@ -346,6 +346,28 @@ def test_greedy_repair_never_beats_oracle(rng):
         assert slow_bad_edges(g, filled) >= repair_oracle(g, partial, holes, cols)
 
 
+def test_large_repair_fills_from_the_first_missing_row(monkeypatch):
+    # above REPAIR_RESCORING_LIMIT missing rows, _greedy_fill scores only
+    # the first missing row per pair; a limit of 0 sends every repair there
+    monkeypatch.setattr(almost_auto, "REPAIR_RESCORING_LIMIT", 0)
+    n = 300
+    g = random_permutation_model(n, 2, seed=3)
+    cfg = ImprovementConfig()
+    ws = ImprovementWorkspace(g, cfg)
+    corrupted = VertexMap(_transposed(np.arange(n), n // 20, np.random.default_rng(0)))  # 10% moved
+    improved, trace = improve(g, corrupted, cfg, workspace=ws)
+    assert improved == VertexMap.identity(n)
+    assert trace.pairs_added > 0 and trace.final.bad_edges == 0
+    scrambled = VertexMap(np.random.default_rng(0).permutation(n))
+    runs = [improve(g, scrambled, cfg, workspace=ws) for _ in range(2)]
+    improved, trace = runs[0]
+    assert improved.bijective
+    assert trace.pairs_added > 0
+    assert defect_of_map(g, improved).bad_edges <= defect_of_map(g, scrambled).bad_edges
+    assert improved == runs[1][0]
+    assert trace.as_dict() == runs[1][1].as_dict()
+
+
 def test_label_automorphisms_of_cayley_graphs():
     for name, order in (("z5", 5), ("s3", 6), ("d4", 8)):
         table, gens = groups.preset_group(name)
@@ -353,6 +375,20 @@ def test_label_automorphisms_of_cayley_graphs():
         autos = label_automorphisms(g)
         assert len(autos) == order
         assert {a.key() for a in autos} == {tuple(table[:, e]) for e in range(order)}
+
+
+def test_label_automorphisms_reject_bijections_that_do_not_commute():
+    # a 6-cycle with the matching {01, 23, 45} is not vertex-transitive: an
+    # odd rotation propagates to a bijection that breaks the matching
+    step = np.roll(np.arange(6), -1)
+    matching = np.array([1, 0, 3, 2, 5, 4])
+    g = make_labeled_graph(6, GeneratorSet.from_pairs([("a", "A"), ("m", "m")]), [step, np.argsort(step), matching])
+    brute = {
+        c for c in permutations(range(6))
+        if all(np.array_equal(np.array(c)[p], p[np.array(c)]) for p in g.actions)
+    }
+    autos = {a.key() for a in label_automorphisms(g)}
+    assert autos == brute == {tuple(np.roll(np.arange(6), -r).tolist()) for r in (0, 2, 4)}
 
 
 def test_map_text_round_trip():

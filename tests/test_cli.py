@@ -107,6 +107,22 @@ def test_improve_subcommand(tmp_path):
     assert trace["target_met"] is True
 
 
+def test_improve_with_a_reference_graph(tmp_path, capsys):
+    s4, z5 = tmp_path / "s4.json", tmp_path / "z5.json"
+    run(["gen", "cayley", "--group", "s4", "-o", str(s4)])
+    run(["gen", "cayley", "--group", "z5", "-o", str(z5)])
+    identity = tmp_path / "identity.txt"
+    identity.write_text(format_map_text(VertexMap.identity(24)))
+    out = tmp_path / "out.txt"
+    argv = ["improve", str(s4), "--map", str(identity), "--radius", "2", "-o", str(out)]
+    assert run(argv + ["--reference", str(s4)]) == 0
+    assert read_json(tmp_path / "out.txt.trace.json")["t_size"] == 24
+    assert read_json(tmp_path / "out.txt.manifest.json")["inputs"] == [str(s4), str(identity), str(s4)]
+    capsys.readouterr()
+    assert run(argv[:-2] + ["--reference", str(z5)]) == 1
+    assert json.loads(capsys.readouterr().out)["error"]["type"] == "GeneratorSetMismatch"
+
+
 def test_cluster_group_auto(tmp_path):
     g = tmp_path / "g.json"
     run(["gen", "cayley", "--group", "z6", "--gens", "1,5", "-o", str(g)])

@@ -272,6 +272,19 @@ def test_cheeger_bounds_refuses_an_estimate_below_lambda2():
         assert low.as_dict()["lower_certified"] is False
 
 
+@pytest.mark.parametrize("shortfall", [1e-3, 0.05])
+def test_cheeger_bounds_refuses_an_underestimate_on_expanders(shortfall):
+    # the Cholesky factorisation fails below lambda2 also where the spectral
+    # bound is far from h (certified lower bounds 0.293 and 0.258)
+    for g in (cayley_graph(*groups.preset_group("s4")), random_permutation_model(200, 2, 1)):
+        sd = lambda2(g)
+        good = cheeger_bounds(g, sd)
+        assert good.lower_certified and good.lower > 0.25
+        low = cheeger_bounds(g, dataclasses.replace(sd, lambda2=sd.lambda2 - shortfall))
+        assert low.lower == 0.0 and low.lower_certified is False
+        assert low.upper == good.upper
+
+
 def test_cheeger_bounds_above_the_certify_limit(monkeypatch):
     g = random_permutation_model(64, 2, seed=5)
     sd = lambda2(g)
@@ -337,18 +350,10 @@ def test_prefix_boundary_counts_match_boundary_on_g_and_product(rng):
         assert prefix_boundary_counts(g, order, (n, n)).tolist() == expected
 
 
-def test_average_matches_gather_on_g_and_product(rng):
+def test_average_matches_gather(rng):
     for g in small_non_simple_graphs():
-        n = g.n
-        v = rng.standard_normal(n)
+        v = rng.standard_normal(g.n)
         assert np.array_equal(average(g, v), v[g.actions].mean(axis=0))
-        x = rng.standard_normal((n, n))
-        # float64 means also of bool and int inputs
-        for cells in (x, x > 0, np.rint(4 * x).astype(np.int64)):
-            expected = cells.ravel()[product_graph(g, g).actions].mean(axis=0)
-            result = average(g, cells)
-            assert result.dtype == np.float64
-            assert np.array_equal(result.ravel(), expected)
 
 
 # few distinct values, so the K-th value is usually tied; NaN sorts last
@@ -387,7 +392,6 @@ def test_average_row_blocks_are_bit_identical(rng, monkeypatch, tile_cells):
         n = g.n
         x = rng.standard_normal((n, n))
         expected = x.ravel()[product_graph(g, g).actions].mean(axis=0).view(np.int64).reshape(n, n)
-        assert np.array_equal(average(g, x).view(np.int64), expected)
         for blocks in (1, 2, 3, 7, n + 2):
             out = np.full_like(x, np.nan)
             expansion._average_row_blocks(g.actions, x, out, blocks)
@@ -423,20 +427,22 @@ def _neighbourhood_sizes(g, cells, steps):
 
 @pytest.mark.parametrize("share", [0, expansion._FRONTIER_SHARE, math.inf])
 def test_smooth_is_bit_identical_to_repeated_average(rng, monkeypatch, share):
-    # share 0 runs every step on its frontier, share inf every step dense
+    # share 0 runs every step on its frontier, share inf every step dense; the
+    # oracle is the product graph's gather, independent of smooth's kernel
     monkeypatch.setattr(expansion, "_FRONTIER_SHARE", share)
     for g in small_non_simple_graphs() + [random_permutation_model(40, 2, seed=4)]:
         n = g.n
+        prod_actions = product_graph(g, g).actions
         for size in {1, n, n * n // 3}:
             cells = rng.choice(n * n, size, replace=False)
             chi = np.zeros((n, n))
             chi.ravel()[cells] = 1.0
-            powers = [average(g, chi)]
-            gap = float(((chi - powers[0]) ** 2).sum())
-            for _ in range(7):
-                powers.append(average(g, powers[-1]))
-            neighbourhoods = _neighbourhood_sizes(g, cells, len(powers))
-            for steps, expected in enumerate(powers, 1):
+            powers = [chi]
+            for _ in range(8):
+                powers.append(powers[-1].ravel()[prod_actions].mean(axis=0).reshape(n, n))
+            gap = float(((chi - powers[1]) ** 2).sum())
+            neighbourhoods = _neighbourhood_sizes(g, cells, 8)
+            for steps, expected in enumerate(powers[1:], 1):
                 values, got_gap, computed = smooth(g, cells, steps)
                 assert np.array_equal(values.view(np.int64), expected.ravel().view(np.int64))
                 assert got_gap.hex() == gap.hex()
