@@ -30,7 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_graph import LabeledGraph, RootedBall, VertexSet, good_vertices, is_connected, rooted_ball
+from .core_graph import (
+    LabeledGraph, RootedBall, VertexSet, ball_images, good_vertices, is_connected, rooted_ball,
+)
 from .errors import InvalidMapFile, LengthMismatch, NotBijective
 from .expansion import descending_order, lambda2, prefix_boundary_counts, smooth
 
@@ -217,15 +219,6 @@ class ImprovementWorkspace:
             self.alpha = lower / 4.0 if lower > 0 else 1e-9  # the floor: no spectral gap
 
 
-def _keep_best_per_fiber(pair_idx: np.ndarray, fiber: np.ndarray, value: np.ndarray) -> np.ndarray:
-    """Indices of the best pair (largest value, ties by pair index) per fiber."""
-    order = np.lexsort((pair_idx, -value, fiber))
-    first = np.ones(order.size, dtype=bool)
-    f = fiber[order]
-    first[1:] = f[1:] != f[:-1]
-    return order[first]
-
-
 def _greedy_fill(g: LabeledGraph, w_col: np.ndarray, missing_rows: np.ndarray, missing_cols: np.ndarray) -> int:
     """Complete a partial permutation, preferring pairs whose product-graph
     neighbors already sit in the kept set (smallest added boundary).
@@ -347,21 +340,19 @@ def improve(
     u_size = int(sizes[pick])
     sym_diff = int(delta_t[pick])
 
-    chosen = order[:u_size]
-    pair_rows = chosen // n
-    pair_cols = chosen % n
-    values = smoothed[chosen]
-
-    keep = _keep_best_per_fiber(chosen, pair_rows, values)
-    rows_trimmed = chosen.size - keep.size
-    chosen2, rows2, cols2, values2 = chosen[keep], pair_rows[keep], pair_cols[keep], values[keep]
-    keep2 = _keep_best_per_fiber(chosen2, cols2, values2)
-    cols_trimmed = chosen2.size - keep2.size
+    # order is by value descending, ties by cell: the best cell of a fiber
+    # is its first along order, among the kept cells too
+    rows, cols = np.divmod(order[:u_size], n)
+    keep = np.sort(np.unique(rows, return_index=True)[1])
+    rows_trimmed = u_size - keep.size
+    rows, cols = rows[keep], cols[keep]
+    keep = np.unique(cols, return_index=True)[1]
+    cols_trimmed = rows.size - keep.size
 
     w_col = np.full(n, -1, dtype=np.int64)
-    w_col[rows2[keep2]] = cols2[keep2]
+    w_col[rows[keep]] = cols[keep]
     used_cols = np.zeros(n, dtype=bool)
-    used_cols[cols2[keep2]] = True
+    used_cols[cols[keep]] = True
     missing_rows = np.flatnonzero(w_col < 0)
     missing_cols = np.flatnonzero(~used_cols)
     pairs_added = _greedy_fill(g, w_col, missing_rows, missing_cols)
@@ -424,46 +415,22 @@ def format_map_text(c: VertexMap) -> str:
 
 
 def label_automorphisms(g: LabeledGraph) -> list[VertexMap]:
-    """All exact automorphisms of a connected labeled graph.
+    """All exact automorphisms of a connected labeled graph, in ascending
+    order of the image of vertex 0.
 
-    A label automorphism of a connected graph is determined by the image of
-    vertex 0: propagate c(s.x) = s.c(x) along a BFS tree and keep the
-    candidates that commute with every action.
+    An automorphism is determined by the image v of vertex 0: propagate
+    c(s.x) = s.c(x) along the tree paths of the whole-graph ball at 0.  It
+    exists exactly when v is a good vertex of that ball (see
+    :func:`good_vertices`: a bijection commuting with every action), so the
+    maps are the tree-path images of the good vertices.  The matcher holds
+    about 17 bytes per vertex pair (n^2 of them).
     """
     if g.n == 0:
         return []
-    if not is_connected(g):
+    ball = rooted_ball(g, 0, g.n)
+    if ball.size < g.n:
         raise ValueError("automorphism enumeration requires a connected graph")
-    n, k = g.n, len(g.gens)
-    # BFS tree from vertex 0: vertex -> (parent, symbol)
-    seen = np.zeros(n, dtype=bool)
-    seen[0] = True
-    tree_order = [0]
-    tree_edge: dict[int, tuple[int, int]] = {}
-    head = 0
-    while head < len(tree_order):
-        u = tree_order[head]
-        head += 1
-        for i in range(k):
-            w = int(g.actions[i][u])
-            if not seen[w]:
-                seen[w] = True
-                tree_order.append(w)
-                tree_edge[w] = (u, i)
-    out = []
-    for target in range(n):
-        c = np.full(n, -1, dtype=np.int64)
-        c[0] = target
-        for u in tree_order[1:]:
-            parent, i = tree_edge[u]
-            c[u] = g.actions[i][c[parent]]
-        ok = np.unique(c).size == n
-        if ok:
-            for i in range(k):
-                p = g.actions[i]
-                if not np.array_equal(c[p], p[c]):
-                    ok = False
-                    break
-        if ok:
-            out.append(VertexMap(c))
-    return out
+    images = ball_images(g, ball, good_vertices(g, ball).indices())
+    maps = np.empty_like(images)
+    maps[:, images[0]] = images  # row 0 walks from vertex 0: the ball order
+    return [VertexMap(row) for row in maps]

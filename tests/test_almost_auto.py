@@ -28,7 +28,7 @@ from soficlab.almost_auto import (
     parse_map_text,
 )
 from soficlab.errors import InvalidMapFile, LengthMismatch, NotBijective, SoficlabError
-from soficlab.core_graph import is_connected, restrict_labels, subset_of_generators
+from soficlab.core_graph import ball_images, is_connected, restrict_labels, subset_of_generators
 from soficlab.expansion import cheeger_exact
 from soficlab.sofic import random_permutation_model
 from soficlab import groups
@@ -389,6 +389,65 @@ def test_label_automorphisms_reject_bijections_that_do_not_commute():
     }
     autos = {a.key() for a in label_automorphisms(g)}
     assert autos == brute == {tuple(np.roll(np.arange(6), -r).tolist()) for r in (0, 2, 4)}
+
+
+def _small_labeled_graph(rng, n):
+    """A pair a/A (a random permutation or the rotation x -> x + 1), a
+    self-inverse m with fixed points and a pair b/B, half the time parallel
+    to a/A."""
+    a = np.roll(np.arange(n), -1) if rng.random() < 0.5 else rng.permutation(n)
+    m = np.arange(n)
+    moved = rng.permutation(n)[: 2 * int(rng.integers(0, n // 2 + 1))]
+    m[moved[0::2]], m[moved[1::2]] = moved[1::2], moved[0::2]
+    b = a if rng.random() < 0.5 else rng.permutation(n)
+    gens = GeneratorSet.from_pairs([("a", "A"), ("m", "m"), ("b", "B")])
+    return make_labeled_graph(n, gens, [a, np.argsort(a), m, b, np.argsort(b)])
+
+
+def test_label_automorphisms_equal_brute_force_on_small_graphs():
+    rng = np.random.default_rng(14)
+    checked = collisions = symmetric = 0
+    while checked < 80:
+        n = int(rng.integers(1, 8))
+        g = _small_labeled_graph(rng, n)
+        if not is_connected(g):
+            continue
+        checked += 1
+        perms = np.array(list(permutations(range(n))), dtype=np.int64)
+        commute = np.ones(len(perms), dtype=bool)
+        for p in g.actions:
+            commute &= np.all(perms[:, p] == p[perms], axis=1)
+        brute = sorted(map(tuple, perms[commute].tolist()), key=lambda c: c[0])
+        assert [a.key() for a in label_automorphisms(g)] == brute
+        symmetric += len(brute) > 1
+        # a target whose tree walk is not a bijection is refused too
+        walks = np.sort(ball_images(g, rooted_ball(g, 0, n), np.arange(n)), axis=1)
+        collisions += bool(np.any(walks[:, 1:] == walks[:, :-1]))
+    assert symmetric > 0 and collisions > 0
+    single = make_labeled_graph(1, GeneratorSet.from_pairs([("a", "A"), ("m", "m")]), [[0], [0], [0]])
+    assert label_automorphisms(single) == [VertexMap([0])]
+
+
+def test_label_automorphisms_refuse_a_disconnected_graph():
+    with pytest.raises(ValueError, match="^automorphism enumeration requires a connected graph$"):
+        label_automorphisms(two_cycles(3))
+
+
+def test_label_automorphisms_peak_is_below_20_bytes_per_vertex_pair():
+    # the tree-path images, their sorted copy and one bool comparison: 17
+    # bytes per pair; the whole-graph ball has no edge leaving it, so the
+    # sorted keys of good_vertices' condition (3), 8 bytes more, are not built
+    n = 600
+    g = random_permutation_model(n, 2, seed=1)
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        autos = label_automorphisms(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert autos == [VertexMap.identity(n)]
+    assert peak - before <= 20 * n * n, f"{(peak - before) / n / n:.2f} bytes per vertex pair"
 
 
 def test_map_text_round_trip():

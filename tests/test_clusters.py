@@ -1,6 +1,8 @@
+import dataclasses
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -34,6 +36,7 @@ from soficlab.errors import (
     DefectTooLarge,
     HypothesisViolation,
     LengthMismatch,
+    MultiplicativityFailure,
     NonPositiveCheeger,
     NotBijective,
     StructureViolation,
@@ -742,6 +745,25 @@ def test_lef_certificate_s4xz5_is_pinned():
     f_words = [Word((), True), Word(("g1",), True), Word(("g1", "g1"), True)]
     cert = lef_certificate(g, ["g30", "g45", "g90"], f_words, 0.0, ImprovementConfig())
     assert _sha256(cert.as_dict()) == "02ecfe842fe2293f4fea8740264a5cf93954368d85d51bc7ff073b168928c4a9"
+
+
+def test_lef_certificate_raises_multiplicativity_failure(monkeypatch):
+    # on Cay(S3 x S3) the words g2, g3 certify a non-abelian group of order
+    # 6, so the transposed cluster table answers g2 * g3 with g3 * g2
+    g = cayley_graph(*groups.preset_group("s3xs3"))
+    gamma = ["g12", "g18", "g24"]
+    f_words = [Word(("g2",), True), Word(("g3",), True)]
+    assert lef_certificate(g, gamma, f_words, 0.0, ImprovementConfig()).group_order == 6
+    true_cluster_group = clusters.cluster_group
+
+    def transposed(*args):
+        cg = true_cluster_group(*args)
+        return dataclasses.replace(cg, table=np.ascontiguousarray(cg.table.T))
+
+    monkeypatch.setattr(clusters, "cluster_group", transposed)
+    message = "cluster(g2) * cluster(g3) = 5, but cluster of the concatenation is 1"
+    with pytest.raises(MultiplicativityFailure, match=re.escape(message)):
+        lef_certificate(g, gamma, f_words, 0.0, ImprovementConfig())
 
 
 def test_lef_certificate_trivial_word_set():
