@@ -28,7 +28,7 @@ print(f"cluster group: order {order}, element orders {element_orders}, abelian: 
 counters = cg.as_dict()["counters"]
 print(
     f"closure: {counters['closure_rounds']} rounds, {counters['improve_requests']} improvements "
-    f"requested, {counters['improve_calls']} improve calls (one per distinct input)"
+    f"requested on {counters['improve_calls']} distinct inputs (all exact automorphisms, so fixed points)"
 )
 print("multiplication table:")
 print(cg.table)

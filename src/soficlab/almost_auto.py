@@ -54,7 +54,11 @@ class VertexMap:
             raise ValueError("images out of range")
         images.setflags(write=False)
         self.images = images
-        self.bijective = bool(np.unique(images).size == n)
+        # the images lie in range, so the map is onto, i.e. bijective,
+        # exactly when it hits every vertex
+        seen = np.zeros(n, dtype=bool)
+        seen[images] = True
+        self.bijective = bool(seen.all())
 
     @classmethod
     def identity(cls, n: int) -> "VertexMap":
@@ -193,30 +197,50 @@ class ImprovementTrace:
 class ImprovementWorkspace:
     """Good set and effective alpha for one (graph, config) pair; reusable
     across many improve() calls.  It holds O(n) memory: the product graph
-    is never materialised."""
+    is never materialised.
 
-    __slots__ = ("good", "alpha")
+    The good set is computed at construction.  ``alpha`` is computed on its
+    first read and then cached: ``cfg.alpha`` when given, the 1e-9 floor on a
+    disconnected graph, else a quarter of the spectral Cheeger lower bound
+    from ``lambda2``.  The warning for an unconverged ``lambda2`` fires at
+    that first read, so a workspace whose alpha is never read (the cluster
+    closure on fixed points only) never runs ``lambda2``.
+    """
+
+    __slots__ = ("good", "_graph", "_alpha")
 
     def __init__(self, g: LabeledGraph, cfg: ImprovementConfig):
         if g.n < 2:
             raise ValueError(f"improve needs at least 2 vertices, the graph has {g.n}")
+        if len(g.gens) == 0:
+            raise ValueError("graph has no generators")
         reference = cfg.reference_ball if cfg.reference_ball is not None else rooted_ball(g, 0, cfg.radius)
         self.good = good_vertices(g, reference)
-        if cfg.alpha is not None:
-            self.alpha = cfg.alpha
-        elif not is_connected(g):
-            # lambda2 is exactly 1, so there is no spectral gap; its estimate
-            # lands within rounding of 1 on either side
-            self.alpha = 1e-9
-        else:
-            sd = lambda2(g, tol=1e-10, max_iter=10000, seed=0)
-            if not sd.converged:
-                warnings.warn(
-                    f"lambda2 did not converge in {sd.iterations} Lanczos steps; "
-                    f"alpha uses the estimate lambda2 = {sd.lambda2!r}"
-                )
-            lower = len(g.gens) * (1.0 - sd.lambda2) / 2.0
-            self.alpha = lower / 4.0 if lower > 0 else 1e-9  # the floor: no spectral gap
+        self._graph = g
+        self._alpha = cfg.alpha
+
+    @property
+    def alpha(self) -> float:
+        if self._alpha is None:
+            self._alpha = _spectral_alpha(self._graph)
+        return self._alpha
+
+
+def _spectral_alpha(g: LabeledGraph) -> float:
+    """A quarter of the spectral Cheeger lower bound k (1 - lambda2) / 2, or
+    the 1e-9 floor where there is no spectral gap."""
+    if not is_connected(g):
+        # lambda2 is exactly 1, so there is no spectral gap; its estimate
+        # lands within rounding of 1 on either side
+        return 1e-9
+    sd = lambda2(g, tol=1e-10, max_iter=10000, seed=0)
+    if not sd.converged:
+        warnings.warn(
+            f"lambda2 did not converge in {sd.iterations} Lanczos steps; "
+            f"alpha uses the estimate lambda2 = {sd.lambda2!r}"
+        )
+    lower = len(g.gens) * (1.0 - sd.lambda2) / 2.0
+    return lower / 4.0 if lower > 0 else 1e-9  # the floor: no spectral gap
 
 
 def _greedy_fill(g: LabeledGraph, w_col: np.ndarray, missing_rows: np.ndarray, missing_cols: np.ndarray) -> int:

@@ -16,7 +16,10 @@ improvement asked for is that of a product pool[i] . pool[j], and the same
 few are asked for many times (28,800 requests on 24 distinct inputs for
 Cay(S4)).  ``_Closure.product(i, j)`` answers from a pair table over ids, -1
 until asked; a miss gathers the product once and looks its bytes up in a
-memo of checked improvements, so ``improve`` runs once per distinct input.
+memo of checked improvements, so ``improve`` runs at most once per distinct
+input, and not at all for an exact automorphism of a graph whose vertices
+are all good: that is a fixed point of ``improve`` (proof at
+``_checked_improvement``) and comes back unchanged without the call.
 Both are exact: ``improve`` is deterministic for a fixed graph, config and
 workspace, and all three are fixed for one ``_Closure``, i.e. one
 ``cluster_group`` call.  Only improvements that passed both hypothesis checks
@@ -225,7 +228,7 @@ class ClusterGroup:
     # improvements the algorithm consumed, whether an improve call, the pair
     # table, the memo or an index identity of the table answered them
     improve_requests: int
-    improve_calls: int  # memo misses, i.e. actual improve calls
+    improve_calls: int  # memo misses, i.e. distinct inputs, fixed points included
     closure_rounds: int
 
     @property
@@ -253,20 +256,54 @@ class ClusterGroup:
 def _checked_improvement(g: LabeledGraph, delta: float, cfg: ImprovementConfig):
     """The improvement of an int64 image row, as an image row, under the two
     hypothesis checks: at most delta*n bad edges left, moved by at most n/5.
-    A failing check raises HypothesisViolation."""
+    A failing check raises HypothesisViolation.
+
+    An exact automorphism on a graph whose vertices are all good is a fixed
+    point of ``improve``, so it comes back unchanged, 0 bad edges and moved
+    by 0, without calling ``improve``.  For such a bijection ``c`` (every
+    vertex good, ``defect_of_map(g, c).boundary_of_graph == 0``) and any
+    config:
+
+    - The boundary is the number of pairs (s, x) with c(s.x) != s.c(x), so
+      c commutes with every action and each P_s x P_s maps T = graph(c)
+      onto itself; T is all n cells (x, c(x)), because every row is good.
+    - A smoothing step gives a cell (x, y) the mean of its k neighbours
+      (s.x, s.y).  On T they all lie in T; off T none does, since
+      s.y = c(s.x) = s.c(x) would give y = c(x).  So, by induction over the
+      steps, each step sums k exact 1.0s on T, k / k = 1.0, and only 0.0s
+      elsewhere, on the frontier and the dense path alike: the smoothed
+      values equal chi_T bit for bit and the smoothing gap is 0.
+    - The descending order, ties by cell, puts the n cells of T first, in
+      index order.  That prefix has boundary 0, so it is feasible for any
+      alpha > 0, and it is the only prefix with symmetric difference 0 to
+      T (a prefix of size j has j - n or n - j).  So the pick is U = T.
+    - U is a permutation: nothing is trimmed and no pair is added, so the
+      candidate's images are c's, with 0 bad edges, and it is not reverted.
+
+    So ``improve`` returns c with ``hamming_moved == 0`` and
+    ``final.bad_edges == 0``, and the checks below run on those numbers; a
+    negative delta still fails the first.  The workspace's alpha is read
+    only by ``improve``, so a closure of fixed points never runs
+    ``lambda2``.
+    """
     ws = ImprovementWorkspace(g, cfg)
     n = g.n
+    all_good = ws.good.cardinality == n
 
     def improved(row: np.ndarray) -> np.ndarray:
-        out, trace = improve(g, VertexMap(row), cfg, workspace=ws)
-        bad = trace.final.bad_edges
+        c = VertexMap(row)
+        if all_good and c.bijective and defect_of_map(g, c).boundary_of_graph == 0:
+            out, bad, moved = c.images, 0, 0
+        else:
+            result, trace = improve(g, c, cfg, workspace=ws)
+            out, bad, moved = result.images, trace.final.bad_edges, trace.hamming_moved
         if bad > delta * n:
             raise HypothesisViolation(f"improvement left {bad} bad edges, above delta*n = {delta * n:g}")
-        if 5 * trace.hamming_moved > n:
+        if 5 * moved > n:
             raise HypothesisViolation(
-                f"improvement moved a composition by distance {trace.hamming_moved} > n/5 ({_thresholds(n)})"
+                f"improvement moved a composition by distance {moved} > n/5 ({_thresholds(n)})"
             )
-        return out.images
+        return out
 
     return improved
 
@@ -464,15 +501,19 @@ def cluster_group(
 
     Every improvement is that of a product of two map ids and goes through
     one pair table and one memo that live for this call only, so ``improve``
-    runs once per distinct input map (exact, because ``improve`` is
-    deterministic for the fixed graph, config and workspace).  The table and
-    the inequality work on map ids, as the module docstring describes, in
-    O(k^2 n + k^3) time when every product is its representative.  Warnings
+    runs at most once per distinct input map (exact, because ``improve`` is
+    deterministic for the fixed graph, config and workspace), and not at all
+    for the fixed points that ``_checked_improvement`` returns unchanged:
+    exact automorphisms when every vertex is good, as with the automorphism
+    seeds of a Cayley graph.  The table and the inequality work on map ids,
+    as the module docstring describes, in O(k^2 n + k^3) time when every
+    product is its representative.  Warnings
     of ``improve`` fire once per distinct input.  The result counts the
     improvement requests, i.e. every improvement the algorithm consumes,
     whether an ``improve`` call, the pair table, the memo or an index
     identity answered it (the closure's products, k^2 for the table and 2k^3
-    for the inequality), the actual ``improve`` calls and the closure rounds.
+    for the inequality), the distinct inputs (memo misses, fixed points
+    included) and the closure rounds.
     """
     seeds = list(seed_maps)
     if not seeds:

@@ -631,10 +631,16 @@ def test_workspace_alpha_from_an_unconverged_estimate_warns(monkeypatch):
     short = expansion.lambda2(g, max_iter=20)
     assert not short.converged
     monkeypatch.setattr(almost_auto, "lambda2", lambda g, **kwargs: short)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ws = ImprovementWorkspace(g, ImprovementConfig())  # alpha waits for its first read
     with pytest.warns(UserWarning, match=f"20 Lanczos steps.*{re.escape(repr(short.lambda2))}"):
-        ws = ImprovementWorkspace(g, ImprovementConfig())
-    # the estimate, not the 1e-9 floor
-    assert ws.alpha == 2 * (1.0 - short.lambda2) / 2.0 / 4.0 > 1e-9
+        alpha = ws.alpha
+    # the estimate, not the 1e-9 floor, cached: a second read does not warn again
+    assert alpha == 2 * (1.0 - short.lambda2) / 2.0 / 4.0 > 1e-9
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert ws.alpha == alpha
     # the floor is kept for lambda2 >= 1, where there is no spectral gap
     flat = expansion.SpectralData(1.0, 4, 0.0, True, short.vector)
     monkeypatch.setattr(almost_auto, "lambda2", lambda g, **kwargs: flat)
@@ -659,6 +665,64 @@ def test_workspace_alpha_floor_on_disconnected_graphs(graph, monkeypatch):
 
     monkeypatch.setattr(almost_auto, "lambda2", no_lambda2)
     assert ImprovementWorkspace(g, ImprovementConfig()).alpha == 1e-9
+
+
+def test_workspace_refuses_a_graph_without_generators():
+    bare = make_labeled_graph(3, GeneratorSet((), ()), np.empty((0, 3), dtype=np.int64))
+    with pytest.raises(ValueError, match="^graph has no generators$"):
+        ImprovementWorkspace(bare, ImprovementConfig())
+
+
+def _exact_automorphism_corpus():
+    """(graph, exact automorphisms) for Cayley presets, all of them, and for
+    the S4 labels of Cay(S4 x Z5), a disconnected graph (alpha at its 1e-9
+    floor), the automorphisms of the whole Cay(S4 x Z5), which commute with
+    its S4 labels too."""
+    cases = []
+    for name in ("z7", "d4", "s3", "s4", "s3xz4"):
+        table, gens = groups.preset_group(name)
+        g = cayley_graph(table, gens)
+        cases.append((g, label_automorphisms(g)))
+    table, gens = groups.preset_group("s4xz5")
+    full = cayley_graph(table, gens)
+    cases.append((_s4_labels_of_s4xz5(), label_automorphisms(full)))
+    return cases
+
+
+def test_exact_automorphisms_are_fixed_points_of_improve():
+    # the lemma behind the cluster closure's skip: with every vertex good, an
+    # exact automorphism comes back unchanged under every config
+    configs = [
+        ImprovementConfig(),
+        ImprovementConfig(alpha=1e-6),
+        ImprovementConfig(alpha=3.0),
+        ImprovementConfig(smoothing_steps=1),
+        ImprovementConfig(radius=2),
+    ]
+    for g, autos in _exact_automorphism_corpus():
+        for cfg in configs:
+            ws = ImprovementWorkspace(g, cfg)
+            assert ws.good.cardinality == g.n
+            for c in autos:
+                assert defect_of_map(g, c).boundary_of_graph == 0
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    improved, trace = improve(g, c, cfg, workspace=ws)
+                assert improved == c
+                assert trace.hamming_moved == 0 and trace.final.bad_edges == 0
+                assert (trace.u_size, trace.symmetric_difference, trace.pairs_added) == (g.n, 0, 0)
+                assert trace.smoothing_gap == 0.0
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_vertex_map_bijectivity_matches_unique(data):
+    n = data.draw(st.integers(0, 12))
+    if n and data.draw(st.booleans()):
+        images = data.draw(st.permutations(range(n)))
+    else:
+        images = data.draw(st.lists(st.integers(0, max(n - 1, 0)), min_size=n, max_size=n))
+    assert VertexMap(images).bijective == (np.unique(np.array(images, dtype=np.int64)).size == n)
 
 
 @pytest.mark.parametrize("field", ["alpha", "target_delta"])

@@ -287,6 +287,19 @@ def test_empty_seed_or_word_list_names_its_cause(tmp_path, capsys):
         assert json.loads(capsys.readouterr().out)["error"]["message"] == message
 
 
+def test_improving_on_a_graph_without_generators_is_a_domain_error(tmp_path, capsys):
+    # the identity is an exact automorphism of the bare graph, and still no
+    # improvement workspace exists for it
+    bare = tmp_path / "bare.json"
+    bare.write_text(json.dumps({"format_version": 1, "n": 3, "generators": []}))
+    identity = tmp_path / "id.map"
+    identity.write_text("0\n1\n2\n")
+    for argv in (["cluster-group", bare, "--map", identity], ["improve", bare, "--map", identity]):
+        assert run([str(a) for a in argv]) == 1, argv
+        doc = json.loads(capsys.readouterr().out)
+        assert doc == {"error": {"type": "ValueError", "message": "graph has no generators"}}
+
+
 def test_lef_check_without_gamma_labels_is_a_domain_error(tmp_path, capsys):
     g = tmp_path / "g.json"
     run(["gen", "cayley", "--group", "s3xz4", "-o", str(g)])

@@ -15,8 +15,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from soficlab import GeneratorSet, cayley_graph, make_labeled_graph
-from soficlab.almost_auto import ImprovementConfig, VertexMap, defect_of_map, label_automorphisms
-from soficlab import clusters
+from soficlab.almost_auto import (
+    ImprovementConfig,
+    ImprovementWorkspace,
+    VertexMap,
+    defect_of_map,
+    label_automorphisms,
+)
+from soficlab import almost_auto, clusters
 from soficlab.clusters import (
     _check_associativity_inequality,
     _checked_improvement,
@@ -41,7 +47,7 @@ from soficlab.errors import (
     NotBijective,
     StructureViolation,
 )
-from soficlab.sofic import Word
+from soficlab.sofic import Word, random_permutation_model
 from soficlab import groups
 
 from conftest import cycle_graph, two_cycles
@@ -536,7 +542,8 @@ def test_representatives_closer_than_4n_over_5_are_refused():
         _representatives(stack, _improvement({}))
 
 
-def test_cluster_group_improves_each_distinct_input_once(monkeypatch):
+def _counting_improve(monkeypatch) -> list[bytes]:
+    """Record the input of every ``improve`` call the closure makes."""
     calls = []
     original = clusters.improve
 
@@ -545,15 +552,79 @@ def test_cluster_group_improves_each_distinct_input_once(monkeypatch):
         return original(g, c, cfg, workspace=workspace)
 
     monkeypatch.setattr(clusters, "improve", counting_improve)
+    return calls
+
+
+def _corrupted_s4_seeds(g):
+    # every third automorphism of Cay(S4) has two images swapped
+    rng = np.random.default_rng(7)
+    seeds = []
+    for i, m in enumerate(label_automorphisms(g)):
+        images = m.images.copy()
+        if i % 3 == 1:
+            a, b = rng.choice(g.n, size=2, replace=False)
+            images[[a, b]] = images[[b, a]]
+        seeds.append(VertexMap(images))
+    return seeds
+
+
+def test_cluster_group_improves_each_distinct_input_once(monkeypatch):
+    # every distinct input is an exact automorphism of Cay(S4), a fixed
+    # point that the closure returns without calling improve; the counters
+    # still count the memo misses
+    calls = _counting_improve(monkeypatch)
     table, gens = groups.preset_group("s4")
     g = cayley_graph(table, gens)
     cg = cluster_group(g, 0.0, label_automorphisms(g), ImprovementConfig())
-    assert len(calls) == len(set(calls)) == 24
+    assert calls == []
     assert cg.as_dict()["counters"] == {
         "improve_requests": 28_800,
         "improve_calls": 24,
         "closure_rounds": 2,
     }
+    # corrupted seeds: 24 of the 611 distinct inputs are exact automorphisms,
+    # the other 587 go through improve once each
+    cg = cluster_group(g, 0.5, _corrupted_s4_seeds(g), ImprovementConfig())
+    assert len(calls) == len(set(calls)) == 587
+    assert cg.as_dict()["counters"] == {
+        "improve_requests": 28_800,
+        "improve_calls": 611,
+        "closure_rounds": 2,
+    }
+
+
+def test_closure_improves_inputs_when_not_every_vertex_is_good(monkeypatch):
+    # on the random 2-pair model the identity is an exact automorphism, but
+    # few vertices match the ball of vertex 0, so it is no proven fixed point
+    g = random_permutation_model(40, 2, 3)
+    ws = ImprovementWorkspace(g, ImprovementConfig())
+    assert 0 < ws.good.cardinality < g.n
+    calls = _counting_improve(monkeypatch)
+    cg = cluster_group(g, 0.0, [VertexMap.identity(g.n)], ImprovementConfig())
+    assert cg.order == 1
+    assert calls == [np.arange(g.n).tobytes()]
+
+
+def test_closure_of_fixed_points_never_runs_lambda2(monkeypatch):
+    # the workspace's alpha is lazy and only improve reads it
+    def no_lambda2(*args, **kwargs):
+        raise AssertionError("lambda2 is not needed when every input is a fixed point")
+
+    monkeypatch.setattr(almost_auto, "lambda2", no_lambda2)
+    table, gens = groups.preset_group("s4")
+    g = cayley_graph(table, gens)
+    assert cluster_group(g, 0.0, label_automorphisms(g), ImprovementConfig()).order == 24
+
+
+def test_fixed_points_still_face_the_hypothesis_checks(monkeypatch):
+    # a negative delta fails the bad-edge check, also for a skipped input
+    calls = _counting_improve(monkeypatch)
+    g = cycle_graph(10)
+    closure = _Closure(10, _checked_improvement(g, -0.5, ImprovementConfig()), bound=10)
+    identity = closure.intern(np.arange(10))
+    with pytest.raises(HypothesisViolation, match=r"improvement left 0 bad edges, above delta\*n = -5"):
+        closure.product(identity, identity)
+    assert calls == []
 
 
 # cluster_group(...).as_dict() without "counters", as computed before the
@@ -625,15 +696,7 @@ def test_cluster_group_on_corrupted_seeds_is_pinned(monkeypatch, block_cells):
     monkeypatch.setattr(clusters, "_BLOCK_CELLS", block_cells)
     table, gens = groups.preset_group("s4")
     g = cayley_graph(table, gens)
-    rng = np.random.default_rng(7)
-    seeds = []
-    for i, m in enumerate(label_automorphisms(g)):
-        images = m.images.copy()
-        if i % 3 == 1:
-            a, b = rng.choice(g.n, size=2, replace=False)
-            images[[a, b]] = images[[b, a]]
-        seeds.append(VertexMap(images))
-    cg = cluster_group(g, 0.5, seeds, ImprovementConfig())
+    cg = cluster_group(g, 0.5, _corrupted_s4_seeds(g), ImprovementConfig())
     assert sum(defect_of_map(g, cl.representative).bad_edges > 0 for cl in cg.clusters) == 8
     doc = cg.as_dict()
     assert doc["counters"] == {"improve_requests": 28_800, "improve_calls": 611, "closure_rounds": 2}
@@ -682,10 +745,19 @@ def test_cluster_group_s5_within_budget():
 
 S6_RUN = """
 import json, resource, time
-from soficlab import cayley_graph, groups
+from soficlab import cayley_graph, clusters, groups
 from soficlab.almost_auto import ImprovementConfig, label_automorphisms
 from soficlab.clusters import cluster_group, group_invariants
 
+invoked = 0
+original = clusters.improve
+
+def counting_improve(*args, **kwargs):
+    global invoked
+    invoked += 1
+    return original(*args, **kwargs)
+
+clusters.improve = counting_improve
 start = time.perf_counter()
 table, gens = groups.preset_group("s6")
 g = cayley_graph(table, gens)
@@ -693,7 +765,7 @@ cg = cluster_group(g, 0.0, label_automorphisms(g), ImprovementConfig())
 order, element_orders, abelian = group_invariants(cg)
 print(json.dumps({
     "order": order, "element_orders": element_orders, "abelian": abelian,
-    "improve_calls": cg.improve_calls, "seconds": time.perf_counter() - start,
+    "improve_calls": cg.improve_calls, "improve_invocations": invoked, "seconds": time.perf_counter() - start,
     "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
 }))
 """
@@ -710,6 +782,7 @@ def test_cluster_group_s6_within_budget():
     assert (result["order"], result["abelian"]) == (720, False)
     assert Counter(result["element_orders"]) == {1: 1, 2: 75, 3: 80, 4: 180, 5: 144, 6: 240}
     assert result["improve_calls"] == 720
+    assert result["improve_invocations"] == 0  # every distinct input is an exact automorphism
     assert result["seconds"] < 60.0, f"Cay(S6) cluster group took {result['seconds']:.1f}s"
     assert result["peak_rss_mb"] < 1536, f"Cay(S6) cluster group peaked at {result['peak_rss_mb']:.0f} MB"
 
