@@ -10,16 +10,17 @@ near the original set, then repair the result to the graph of a bijection.
 The product graph is never built: ``expansion.smooth`` and
 ``expansion.prefix_boundary_counts`` act on the n^2 cells, cell ``x * n + y``
 being the product vertex ``(x, y)``, and :func:`defect_of_map` has the
-boundary of the graph in closed form.  After j smoothing steps the values
-are zero outside the j-step neighbourhood of the graph, so while that
-neighbourhood is small a step computes only its cells, each from all k
-gathers in symbol order, zeros included, as a dense pass does; later steps
-are dense passes in row blocks, one per available CPU.  The values are
-bit-identical either way, and the smoothing gap is summed in place over the
-whole n^2 buffer, as a dense pass would sum it.  The sweep orders and
-counts only the top K of the n^2 cells, K certified to hold the pick (see
-:func:`improve`), so past the smoothing the work scales with the chosen set,
-not with n^2.
+boundary of the graph in closed form.  The smoothing is done in exact
+integer walk counts ``A^j chi`` (``A = k M`` sums the k symbol gathers), in
+int32 while ``k^steps < 2**31``: they order the cells exactly as
+``M^steps chi`` does, exact ties broken by cell index.  After j steps the
+counts are zero outside the j-step neighbourhood of the graph, so while
+that neighbourhood is small a step computes only its cells; later steps
+are dense passes over row tiles.  The smoothing gap is formed once, from
+the first step, in a float64 buffer summed over the whole n^2 cells, as a
+dense pass would sum it.  The sweep orders and counts only the top K of
+the n^2 cells, K certified to hold the pick (see :func:`improve`), so past
+the smoothing the work scales with the chosen set, not with n^2.
 """
 
 from __future__ import annotations
@@ -282,14 +283,18 @@ def improve(
 ) -> tuple[VertexMap, ImprovementTrace]:
     """Improve an almost automorphism by spectral sweep rounding plus repair.
 
-    The smoothed indicator is ``M^steps chi_T`` from ``expansion.smooth``.
-    While the support is small, a step computes only the cells next to the
-    previous step's support, from all k gathers in symbol order, zeros
-    included; later steps are whole dense passes.  The values are
-    bit-identical to dense passes throughout.  ``trace.smoothed_cells``
-    counts the cells computed, n^2 per dense step, and
-    ``trace.smoothing_gap`` is ``||chi_T - M chi_T||^2``, summed over the
-    whole n^2 buffer in place.
+    The smoothed indicator is ``M^steps chi_T``, swept as the walk counts
+    ``A^steps chi_T = k^steps M^steps chi_T`` of ``expansion.smooth``:
+    exact integers (int32 while ``k^steps < 2**31``, int64 below 2**63,
+    float64 beyond), so the descending order is the exact order of
+    ``M^steps chi_T``, exact ties broken by cell index.  While the support
+    is small, a step computes only the cells next to the previous step's
+    support; later steps are whole dense passes, and the counts are the
+    same either way.  ``trace.smoothed_cells`` counts the cells computed,
+    n^2 per dense step, and ``trace.smoothing_gap`` is
+    ``||chi_T - M chi_T||^2``, formed once from the first step and summed
+    over the whole n^2 cells in one float64 buffer.  The sweep looks the
+    ordered cells up in the sorted T cells, so it needs no n^2 mask of T.
 
     The sweep picks, among the prefixes of the descending order of the
     smoothed indicator that satisfy ``|bd(U)| <= alpha |U|``, one with the
@@ -328,9 +333,7 @@ def improve(
             warnings.warn("graph of the map misses the good set; improving over the full graph")
         t_rows = np.arange(n)
     t_size = int(t_rows.size)
-    t_cells = t_rows * n + c.images[t_rows]
-    t_mask = np.zeros(big_n, dtype=bool)
-    t_mask[t_cells] = True
+    t_cells = t_rows * n + c.images[t_rows]  # ascending: one cell per row
     smoothed, smoothing_gap, smoothed_cells = smooth(g, t_cells, cfg.smoothing_steps)
 
     # top-K sweep, K certified as in the docstring: delta_t[j] >= j - t_size
@@ -341,7 +344,8 @@ def improve(
         order = descending_order(smoothed, k)
         counts = prefix_boundary_counts(g, order, (n, n))  # prefix sizes 1..min(k, big_n-1)
         sizes = np.arange(1, counts.size + 1, dtype=np.int64)
-        cum_t = np.cumsum(t_mask[order])[: counts.size]
+        found = t_cells[np.minimum(np.searchsorted(t_cells, order), t_size - 1)]
+        cum_t = np.cumsum(found == order)[: counts.size]
         delta_t = t_size + sizes - 2 * cum_t
         feasible = counts <= ws.alpha * sizes
         alpha_feasible = bool(feasible.any())

@@ -267,12 +267,12 @@ def _checked_improvement(g: LabeledGraph, delta: float, cfg: ImprovementConfig):
     - The boundary is the number of pairs (s, x) with c(s.x) != s.c(x), so
       c commutes with every action and each P_s x P_s maps T = graph(c)
       onto itself; T is all n cells (x, c(x)), because every row is good.
-    - A smoothing step gives a cell (x, y) the mean of its k neighbours
-      (s.x, s.y).  On T they all lie in T; off T none does, since
-      s.y = c(s.x) = s.c(x) would give y = c(x).  So, by induction over the
-      steps, each step sums k exact 1.0s on T, k / k = 1.0, and only 0.0s
-      elsewhere, on the frontier and the dense path alike: the smoothed
-      values equal chi_T bit for bit and the smoothing gap is 0.
+    - A smoothing step gives a cell (x, y) the sum of the walk counts of
+      its k neighbours (s.x, s.y).  On T they all lie in T; off T none
+      does, since s.y = c(s.x) = s.c(x) would give y = c(x).  So, by
+      induction over the steps, step j counts k^j on T and 0 elsewhere, on
+      the frontier and the dense path alike: the counts are
+      k^steps chi_T, and the smoothing gap is 0 (k / k - 1 on T).
     - The descending order, ties by cell, puts the n cells of T first, in
       index order.  That prefix has boundary 0, so it is feasible for any
       alpha > 0, and it is the only prefix with symmetric difference 0 to

@@ -448,7 +448,18 @@ def good_vertices(g: LabeledGraph, reference: RootedBall) -> VertexSet:
     reference ball outside them.  For a ball covering a connected graph (3)
     is vacuous, and the good vertices are the images of the root under label
     automorphisms ((1): a bijection, (2): it commutes with every action).
-    Memory: ~17 bytes per (vertex, ball vertex) pair, 24 if (3) has edges."""
+
+    There (2) implies (1), so (1) is not checked when the reference has no
+    edge leaving it, m = n and ``g`` is connected.  Proof: with no leaving
+    edge, (2) says ``s.w[t] = w[s.t]`` for every symbol s and every ball
+    vertex t, where ``w[t]`` is the end of the tree path to t walked from v.
+    So the image set ``{w[t]}`` is closed under every action, hence, the
+    symbols being closed under inverses, a union of connected components:
+    all n vertices of a connected ``g``.  Reached by m = n walks, the n
+    vertices are reached once each, which is (1).
+
+    Memory: ~9 bytes per (vertex, ball vertex) pair there, ~17 where (1)
+    needs its sorted copy of the images, 24 if (3) has edges."""
     if g.gens != reference.gens:
         raise GeneratorSetMismatch("reference ball uses a different generator set")
     n, m, k = g.n, reference.size, len(g.gens)
@@ -456,10 +467,12 @@ def good_vertices(g: LabeledGraph, reference: RootedBall) -> VertexSet:
         return VertexSet.empty(n)
     vert = ball_images(g, reference, np.arange(n))
     good = np.ones(n, dtype=bool)
-    # (1) the tree reaches m distinct vertices
-    srt = np.sort(vert, axis=1)
-    if m > 1:
-        good &= ~np.any(srt[:, 1:] == srt[:, :-1], axis=1)
+    leaving = np.argwhere(reference.actions < 0)
+    # (1) the tree reaches m distinct vertices, unless (2) implies it as above
+    if leaving.size or m < n or not is_connected(g):
+        srt = np.sort(vert, axis=1)  # also the keys of (3)
+        if m > 1:
+            good &= ~np.any(srt[:, 1:] == srt[:, :-1], axis=1)
     # (2) every in-ball edge of the reference is reproduced
     for i in range(k):
         row = g.actions[i]
@@ -467,7 +480,6 @@ def good_vertices(g: LabeledGraph, reference: RootedBall) -> VertexSet:
         for j in np.flatnonzero(ref_row >= 0):
             good &= row[vert[:, j]] == vert[:, ref_row[j]]
     # (3) edges leaving the reference ball leave the candidate ball too
-    leaving = np.argwhere(reference.actions < 0)
     if leaving.size:
         flat = (srt + (np.arange(n)[:, None] * np.int64(n))).ravel()
         offsets = np.arange(n) * np.int64(n)

@@ -12,13 +12,18 @@ floating-point Cholesky factorisation of the exactly representable
 definite once the diagonal is shifted by
 ``gamma_{n+1} / (1 - 2 gamma_{n+1}) * trace + O(n^2) * 2**-1074``,
 ``gamma_{n+1} = (n+1) 2**-53 / (1 - (n+1) 2**-53)``; see :func:`cheeger_bounds`.
+
+On the product graph ``g x g``, :func:`smooth` applies ``A = k M`` instead
+of M: its walk counts ``A^j chi`` are exact integers (int32 while
+``k^j < 2**31``, int64 below 2**63, float64 beyond), ordered exactly as
+``M^j chi``, and no step divides.  The gap ``||chi - M chi||^2`` is formed
+once, from the first step.  :func:`descending_order` and
+:func:`prefix_boundary_counts` sweep them.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
@@ -46,9 +51,7 @@ _UNIT_ROUNDOFF = Fraction(1, 2**53)
 _SMALLEST_SUBNORMAL = Fraction(1, 2**1074)
 
 _CHUNK = 1 << 20
-# smooth()'s dense steps: cells per row block below which threads do not pay,
-# and cells per tile of rows within a block, counting the rows of all k gathers
-_BLOCK_MIN_CELLS = 1 << 15
+# smooth()'s dense steps: cells per tile of rows, counting the rows of all k gathers
 _TILE_CELLS = 1 << 16
 # smooth(): a step runs on its frontier while this share of k times the
 # support is below the n^2 cells; a dense pass streams, a frontier step gathers
@@ -162,7 +165,7 @@ def cheeger_exact(g: LabeledGraph, exhaustive_limit: int = EXHAUSTIVE_LIMIT) -> 
 def average(g: LabeledGraph, x: np.ndarray) -> np.ndarray:
     """The averaging operator ``(M x)[v] = mean_s x[s.v]`` on a vector ``x``
     of shape ``(n,)``: the gathers summed in symbol order, then divided by k.
-    The result is float64.  :func:`smooth` applies M on ``g x g``.
+    The result is float64.  :func:`smooth` applies ``k M`` on ``g x g``.
     """
     if len(g.gens) == 0:
         raise ValueError("graph has no generators")
@@ -175,29 +178,38 @@ def average(g: LabeledGraph, x: np.ndarray) -> np.ndarray:
 
 
 def smooth(g: LabeledGraph, cells: np.ndarray, steps: int) -> tuple[np.ndarray, float, int]:
-    """``M^steps chi`` on ``g x g`` for the indicator ``chi`` of the distinct
-    flat cell ids ``cells`` (cell ``x * n + y`` is the product vertex
-    ``(x, y)``), with the gap ``||chi - M chi||^2`` and the number of cells
-    computed over all steps (n^2 for a dense step).  The values are a flat
-    float64 array of n^2 cells.
+    """The walk counts ``A^steps chi`` on ``g x g``, ``A = sum_s P_s (x) P_s``,
+    for the indicator ``chi`` of the distinct flat cell ids ``cells`` (cell
+    ``x * n + y`` is the product vertex ``(x, y)``), with the gap
+    ``||chi - M chi||^2`` of the averaging operator ``M = A / k`` and the
+    number of cells computed over all steps (n^2 for a dense step).  The
+    counts are a flat array of n^2 cells.
 
-    M^j chi is zero outside the j-step neighbourhood of ``cells``.  While the
-    support S of the current values (``cells``, then the cells the previous
-    step computed) is small, ``_FRONTIER_SHARE * k * |S| < n^2``, a step runs
-    on its frontier: it computes only the cells ``(s.x, s.y)`` for ``(x, y)``
-    in S and every symbol ``s``; the symbols are closed under inverses, so
-    these are all the cells with a neighbour in S.  Each such cell sums all k
-    gathers in symbol order, zeros included, and divides by k, so every
-    value is bit-identical to the dense pass.  Once the support is large, the
-    steps are dense passes of :func:`_average_row_blocks` into the spare
-    buffer, in n^2 // 2**15 row blocks, at least 1 and at most the usable CPUs.
+    A count is the number of the k^steps symbol words that walk its cell
+    into ``cells``, and ``M^steps chi = A^steps chi / k^steps``.  So the
+    counts are exact integers, int32 while ``k^steps < 2**31`` (every k <= 8
+    at 10 steps) and int64 while ``k^steps < 2**63``, and their order, ties
+    included, is the exact order of ``M^steps chi``.  Beyond that they are
+    float64.  No step divides: every cell sums its k gathers in symbol order.
 
-    Two n^2 float64 buffers take turns as input and output; a frontier step
-    zeroes only the cells its output buffer was last written at.  The gap is
-    taken in the buffer that held ``chi``: subtract and square in place (on
-    the cells written only, after a frontier step), then a sum over the
-    whole contiguous ``(n, n)`` view, the same pairwise summation as
-    ``((chi - M chi) ** 2).sum()``.
+    ``A^j chi`` is zero outside the j-step neighbourhood of ``cells``.  While
+    the support S of the current counts (``cells``, then the cells the
+    previous step computed) is small, ``_FRONTIER_SHARE * k * |S| < n^2``, a
+    step runs on its frontier: it computes only the cells ``(s.x, s.y)`` for
+    ``(x, y)`` in S and every symbol ``s``; the symbols are closed under
+    inverses, so these are all the cells with a neighbour in S.  Once the
+    support is large, the steps are dense passes of :func:`_count_rows`.
+
+    The first step gathers from a bool mask of ``cells``, and the gap is
+    formed from it once, in one float64 n^2 buffer that is freed before the
+    second count buffer exists: ``M chi - chi`` (the step-1 counts divided
+    by k, minus 1 on ``cells``) squared, which is ``(chi - M chi)^2`` bit for
+    bit, then summed over the whole contiguous ``(n, n)`` view, the pairwise
+    summation of ``((chi - M chi) ** 2).sum()``.  The two count buffers then
+    take turns as input and output.  A frontier step overwrites every cell
+    its output buffer holds from two steps back: each such cell has a
+    neighbour in the last step's support, so it is in the new support.  The
+    bool marks of the next frontier are dropped once the steps turn dense.
     """
     k = len(g.gens)
     if k == 0:
@@ -206,53 +218,90 @@ def smooth(g: LabeledGraph, cells: np.ndarray, steps: int) -> tuple[np.ndarray, 
         raise ValueError("steps must be >= 1")
     actions, n = g.actions, g.n
     size = n * n
-    support = np.asarray(cells, dtype=np.int64)
-    cur, spare = np.zeros(size), np.zeros(size)
-    cur[support] = 1.0
+    dtype = _count_dtype(k, steps)
+    cells = np.asarray(cells, dtype=np.int64)
     scaled = actions * n
-    marks = np.zeros(size, dtype=bool)  # the cells of the next frontier step
-    held, spare_held = support, support[:0]  # cells where cur and spare may be non-zero
-    blocks = max(1, min(size // _BLOCK_MIN_CELLS, _usable_cpus()))  # row blocks of a dense step
-    frontier = _FRONTIER_SHARE * k * support.size < size
-    if frontier:
-        for moved in _moved_cells(scaled, actions, support, n):
+    chi = np.zeros(size, dtype=bool)
+    chi[cells] = True
+    marks = None  # the cells of the next step, while it runs on its frontier
+    if _FRONTIER_SHARE * k * cells.size < size:
+        marks = np.zeros(size, dtype=bool)
+        for moved in _moved_cells(scaled, actions, cells, n):
             marks[moved] = True
-    computed, gap = 0, 0.0
-    for step in range(steps):
-        on_frontier = frontier
-        if on_frontier:
-            spare[spare_held] = 0.0
-            support = np.flatnonzero(marks)
-            marks[support] = False
-            # once a step is dense, every later step is: the support never shrinks
-            frontier = step + 1 < steps and _FRONTIER_SHARE * k * support.size < size
-            total = None
-            for moved in _moved_cells(scaled, actions, support, n):
-                if frontier:
-                    marks[moved] = True
-                gathered = cur.take(moved)
-                if total is None:
-                    total = gathered
-                else:
-                    total += gathered
-            total /= k
-            spare[support] = total
-            spare_held = support
-            computed += support.size
-        else:
-            _average_row_blocks(actions, cur.reshape(n, n), spare.reshape(n, n), blocks)
+    support, marks = _frontier(marks, k, steps > 1)
+    if support is None:
+        cur = np.empty(size, dtype=dtype)
+        _count_rows(actions, chi.reshape(n, n), cur.reshape(n, n))
+        del chi
+        diff = cur / k
+        computed = size
+    else:
+        counts = _frontier_counts(scaled, actions, support, n, chi, dtype, marks)
+        del chi
+        diff = np.zeros(size)
+        diff[support] = counts / k
+        computed = support.size
+    diff[cells] -= 1.0  # M chi - chi
+    if support is None:
+        np.square(diff, out=diff)
+    else:
+        touched = np.concatenate((cells, support))
+        diff[touched] = np.square(diff[touched])
+    gap = float(diff.reshape(n, n).sum())
+    del diff
+    if support is not None:
+        cur = np.zeros(size, dtype=dtype)
+        cur[support] = counts
+    spare = np.zeros(size, dtype=dtype)
+    for step in range(1, steps):
+        support, marks = _frontier(marks, k, step + 1 < steps)
+        if support is None:
+            _count_rows(actions, cur.reshape(n, n), spare.reshape(n, n))
             computed += size
-        if step == 0:  # cur holds chi, spare M chi
-            if on_frontier:
-                held = np.concatenate((held, support))
-                cur[held] = np.square(cur[held] - spare[held])
-            else:
-                np.subtract(cur, spare, out=cur)
-                np.square(cur, out=cur)
-            gap = float(cur.reshape(n, n).sum())
+        else:
+            spare[support] = _frontier_counts(scaled, actions, support, n, cur, dtype, marks)
+            computed += support.size
         cur, spare = spare, cur
-        held, spare_held = spare_held, held
     return cur, gap, computed
+
+
+def _count_dtype(k: int, steps: int) -> type:
+    """The dtype of :func:`smooth`'s counts, each at most ``k^steps``."""
+    bound = k ** min(steps, 64)  # for k >= 2, 64 steps pass 2**63 already
+    if bound < 2**31:
+        return np.int32
+    if bound < 2**63:
+        return np.int64
+    return np.float64
+
+
+def _frontier(marks: np.ndarray | None, k: int, more: bool) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """The cells of a frontier step, the marked ones, with the cleared marks
+    that collect the next step's cells; the marks are None when there is no
+    next step or it is dense (the support never shrinks, so every later step
+    is dense too).  ``(None, None)`` for a dense step."""
+    if marks is None:
+        return None, None
+    support = np.flatnonzero(marks)
+    if more and _FRONTIER_SHARE * k * support.size < marks.size:
+        marks[support] = False
+        return support, marks
+    return support, None
+
+
+def _frontier_counts(
+    scaled: np.ndarray, actions: np.ndarray, support: np.ndarray, n: int, x: np.ndarray, dtype: type,
+    marks: np.ndarray | None,
+) -> np.ndarray:
+    """``sum_s x[s.u, s.v]`` over the symbols in order at each flat cell
+    ``(u, v)`` of ``support``, marking the gathered cells in ``marks`` unless
+    it is None."""
+    total = np.zeros(support.size, dtype=dtype)
+    for moved in _moved_cells(scaled, actions, support, n):
+        if marks is not None:
+            marks[moved] = True
+        total += x.take(moved)
+    return total
 
 
 def _moved_cells(scaled: np.ndarray, actions: np.ndarray, cells: np.ndarray, n: int):
@@ -266,66 +315,18 @@ def _moved_cells(scaled: np.ndarray, actions: np.ndarray, cells: np.ndarray, n: 
         yield moved
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on; all CPUs where affinity is unknown."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # sched_getaffinity is not on every platform
-        return os.cpu_count() or 1
-
-
-def _average_row_blocks(actions: np.ndarray, x: np.ndarray, out: np.ndarray, blocks: int):
-    """``out[u, v] = mean_s x[s.u, s.v]``, the averaging operator on
-    ``g x g`` for ``x`` of shape ``(n, n)``, its rows split into ``blocks``
-    contiguous blocks, all but the first on their own threads (``take``
-    releases the GIL).  A block runs in tiles of rows whose gathers for all
-    symbols stay in cache, so no ``(k, n, n)`` temporary is made.  Every cell
-    sums its gathers in symbol order, then divides by k, so the result is
-    bit-identical for any number of blocks."""
-    n = x.shape[0]
-    if blocks == 1:
-        _average_rows(actions, x, out, 0, n)
-        return
-    bounds = [(n * b // blocks, n * (b + 1) // blocks) for b in range(blocks)]
-    errors: list[BaseException] = []
-
-    def run(r0: int, r1: int):
-        try:
-            _average_rows(actions, x, out, r0, r1)
-        except BaseException as exc:  # re-raised in the calling thread
-            errors.append(exc)
-
-    threads = [threading.Thread(target=run, args=b) for b in bounds[1:]]
-    for t in threads:
-        t.start()
-    try:
-        _average_rows(actions, x, out, *bounds[0])
-    finally:
-        for t in threads:
-            t.join()
-    if errors:
-        raise errors[0]
-
-
-def _average_rows(actions: np.ndarray, x: np.ndarray, out: np.ndarray, r0: int, r1: int):
-    """``out[r0:r1]`` of :func:`_average_row_blocks`, in tiles of rows whose
-    gathers for all k symbols stay in cache."""
+def _count_rows(actions: np.ndarray, x: np.ndarray, out: np.ndarray):
+    """``out[u, v] = sum_s x[s.u, s.v]`` in symbol order, one step of A on
+    ``g x g`` for ``x`` of shape ``(n, n)``, in tiles of rows whose gathers
+    for all k symbols stay in cache, so no ``(k, n, n)`` temporary is made."""
     k, n = actions.shape
     tile = max(1, _TILE_CELLS // (k * n))
-    for a in range(r0, r1, tile):
-        b = min(a + tile, r1)
-        out[a:b] = _average_tile(actions[:, a:b], actions, x)
-
-
-def _average_tile(row_actions: np.ndarray, actions: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``sum_s x[p_s[rows]][:, p_s] / k``, summed in symbol order, where
-    ``row_actions = actions[:, rows]`` for a range of rows."""
-    moved = x.take(row_actions, axis=0)
-    total = moved[0].take(actions[0], axis=1)
-    for s in range(1, len(actions)):
-        total += moved[s].take(actions[s], axis=1)
-    total /= len(actions)
-    return total
+    for a in range(0, n, tile):
+        rows = out[a : a + tile]
+        moved = x.take(actions[:, a : a + tile], axis=0)
+        rows[...] = moved[0].take(actions[0], axis=1)
+        for s in range(1, k):
+            rows += moved[s].take(actions[s], axis=1)
 
 
 def lambda2(g: LabeledGraph, tol: float = 1e-10, max_iter: int = 10000, seed: int = 0) -> SpectralData:
@@ -486,16 +487,17 @@ def prefix_boundary_counts(g: LabeledGraph, order: np.ndarray, shape: tuple[int,
     other end lies.
 
     Only the edges that touch the K cells are visited, so the work is
-    O(|S| K) after one O(N) rank fill.  For each pair representative ``s`` an edge
-    ``{v, s.v}`` is met from ``v`` when ``v`` is in the order, and from
-    ``s.v`` when only that end is; a self-inverse symbol meets each edge from
-    both ends, so its counts are halved, and a loop adds and removes the same
-    bin."""
+    O(|S| K) after one O(N) rank fill; the rank array is int32 while N is
+    below 2**31, no larger than the int32 counts of :func:`smooth` beside
+    it.  For each pair representative ``s`` an edge ``{v, s.v}`` is met from
+    ``v`` when ``v`` is in the order, and from ``s.v`` when only that end
+    is; a self-inverse symbol meets each edge from both ends, so its counts
+    are halved, and a loop adds and removes the same bin."""
     size = math.prod(shape)
     n = g.n
     top = order.size
-    ranks = np.arange(top)
-    rank = np.full(size, top, dtype=np.int64)
+    rank = np.full(size, top, dtype=np.int32 if size < 2**31 else np.int64)
+    ranks = np.arange(top, dtype=rank.dtype)
     rank[order] = ranks
     if top == size:  # every cell: act on the rank array along every axis
         ranks = rank

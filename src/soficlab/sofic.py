@@ -56,25 +56,53 @@ class SoficReport:
 
 def word_action(g: LabeledGraph, w: Word) -> np.ndarray:
     """Permutation of the word: x -> s1 ... sk . x (rightmost letter first)."""
-    out = np.arange(g.n)
-    for s in w.letters:
-        out = out[g.action(s)]
-    return out
+    return next(_word_actions(g, [w], np.arange(g.n)))
+
+
+def _word_actions(g: LabeledGraph, words, identity: np.ndarray):
+    """The permutation of each word in turn, as in :func:`word_action`.
+
+    ``prefixes[j]`` is the permutation of the first j letters of the last
+    word, ``prefixes[0]`` the ``identity``, and the first j + 1 letters act
+    as ``prefixes[j][g.action(s)]`` for the next letter s.  A word is
+    evaluated from the longest prefix it shares with the word before it: in
+    depth-first order (:func:`reduced_words`) that is one gather per word.
+    A yielded array is shared with later words; do not write to it."""
+    prefixes = [identity]
+    last: tuple[str, ...] = ()
+    for w in words:
+        shared = 0
+        while shared < min(len(last), len(w.letters)) and last[shared] == w.letters[shared]:
+            shared += 1
+        del prefixes[shared + 1 :]
+        for s in w.letters[shared:]:
+            prefixes.append(prefixes[-1][g.action(s)])
+        last = w.letters
+        yield prefixes[-1]
+
+
+def _wrong_fraction(act: np.ndarray, identity: np.ndarray, w: Word) -> float:
+    """Fraction of vertices on which ``act``, the permutation of ``w``, acts
+    incorrectly."""
+    n = identity.size
+    fixed = int(np.count_nonzero(act == identity))
+    bad = (n - fixed) if w.expects_identity else fixed
+    return bad / n if n else 0.0
 
 
 def defect(g: LabeledGraph, w: Word) -> float:
     """Fraction of vertices on which the word acts incorrectly."""
-    act = word_action(g, w)
-    fixed = int(np.count_nonzero(act == np.arange(g.n)))
-    bad = (g.n - fixed) if w.expects_identity else fixed
-    return bad / g.n if g.n else 0.0
+    return _wrong_fraction(word_action(g, w), np.arange(g.n), w)
 
 
 def sofic_report(g: LabeledGraph, words) -> SoficReport:
+    """The defect of every word, each word evaluated from the prefix it
+    shares with the word before it."""
     words = list(words)
     if not words:
         raise ValueError("word list must be nonempty")
-    defects = [(w, defect(g, w)) for w in words]
+    identity = np.arange(g.n)
+    defects = [(w, _wrong_fraction(act, identity, w)) for w, act in zip(words, _word_actions(g, words, identity))]
     return SoficReport(defects, max(d for _, d in defects), g.n)
 
 

@@ -290,6 +290,16 @@ def test_good_vertices_c4_wraps():
     assert got.cardinality == 0
 
 
+def test_good_vertices_whole_ball_of_another_graph_needs_distinct_walks():
+    # the whole-graph ball of C6 covers the 6 vertices of two triangles and
+    # every walk reproduces its edges (C6 covers C3), but reaches 3 vertices
+    # only: (2) implies (1) on a connected graph, not on this one
+    ref = rooted_ball(cycle_graph(6), 0, 6)
+    assert ref.size == 6 and (ref.actions >= 0).all()
+    assert good_vertices(two_cycles(3), ref).cardinality == 0
+    assert good_vertices(cycle_graph(6), ref).cardinality == 6
+
+
 def test_good_vertices_product_factorizes(rng):
     for n, r in [(10, 2), (12, 1), (8, 2)]:
         g = random_simple_graph(rng, n, extra_matching=False)

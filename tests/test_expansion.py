@@ -387,15 +387,17 @@ def test_partial_prefix_boundary_counts_match_the_full_counts(graph_index, seed,
 
 @pytest.mark.parametrize("tile_cells", [expansion._TILE_CELLS, 64])
 def test_average_row_blocks_are_bit_identical(rng, monkeypatch, tile_cells):
+    # the dense step's tile loop, on int32 counts and on smooth()'s bool
+    # first-step mask, against the product graph's gathers summed in int64
     monkeypatch.setattr(expansion, "_TILE_CELLS", tile_cells)
     for g in small_non_simple_graphs()[:2] + [random_permutation_model(300, 2, seed=3)]:
         n = g.n
-        x = rng.standard_normal((n, n))
-        expected = x.ravel()[product_graph(g, g).actions].mean(axis=0).view(np.int64).reshape(n, n)
-        for blocks in (1, 2, 3, 7, n + 2):
-            out = np.full_like(x, np.nan)
-            expansion._average_row_blocks(g.actions, x, out, blocks)
-            assert np.array_equal(out.view(np.int64), expected)
+        prod_actions = product_graph(g, g).actions
+        for x in (rng.integers(0, 2**24, (n, n), dtype=np.int32), rng.random((n, n)) < 0.3):
+            expected = x.ravel()[prod_actions].sum(axis=0, dtype=np.int64).reshape(n, n)
+            out = np.full((n, n), -1, dtype=np.int32)
+            expansion._count_rows(g.actions, x, out)
+            assert np.array_equal(out, expected)
 
 
 def test_partial_descending_order_makes_one_copy():
@@ -428,28 +430,84 @@ def _neighbourhood_sizes(g, cells, steps):
 @pytest.mark.parametrize("share", [0, expansion._FRONTIER_SHARE, math.inf])
 def test_smooth_is_bit_identical_to_repeated_average(rng, monkeypatch, share):
     # share 0 runs every step on its frontier, share inf every step dense; the
-    # oracle is the product graph's gather, independent of smooth's kernel
+    # oracle is the product graph's gather summed in int64, independent of
+    # smooth's kernel, and the gap is that of the float averages
     monkeypatch.setattr(expansion, "_FRONTIER_SHARE", share)
     for g in small_non_simple_graphs() + [random_permutation_model(40, 2, seed=4)]:
         n = g.n
         prod_actions = product_graph(g, g).actions
         for size in {1, n, n * n // 3}:
             cells = rng.choice(n * n, size, replace=False)
-            chi = np.zeros((n, n))
-            chi.ravel()[cells] = 1.0
+            chi = np.zeros(n * n, dtype=np.int64)
+            chi[cells] = 1
             powers = [chi]
             for _ in range(8):
-                powers.append(powers[-1].ravel()[prod_actions].mean(axis=0).reshape(n, n))
-            gap = float(((chi - powers[1]) ** 2).sum())
+                powers.append(powers[-1][prod_actions].sum(axis=0))
+            gap = float(((chi.reshape(n, n) - (powers[1] / len(g.gens)).reshape(n, n)) ** 2).sum())
             neighbourhoods = _neighbourhood_sizes(g, cells, 8)
             for steps, expected in enumerate(powers[1:], 1):
                 values, got_gap, computed = smooth(g, cells, steps)
-                assert np.array_equal(values.view(np.int64), expected.ravel().view(np.int64))
+                assert values.dtype == np.int32
+                assert np.array_equal(values, expected)
                 assert got_gap.hex() == gap.hex()
                 if share == 0:
                     assert computed == sum(neighbourhoods[:steps])
                 elif share == math.inf:
                     assert computed == steps * n * n
+
+
+def _float_steps(g, cells, steps, divisor):
+    """Per step the product graph's gathers of the float64 indicator of
+    ``cells`` summed in symbol order, then divided by ``divisor``: k gives
+    the averages ``M^steps chi``, 1 the float64 walk counts."""
+    prod_actions = product_graph(g, g).actions
+    x = np.zeros(g.n * g.n)
+    x[cells] = 1.0
+    for _ in range(steps):
+        total = x[prod_actions[0]]
+        for p in prod_actions[1:]:
+            total += x[p]
+        x = total / divisor
+    return x
+
+
+@pytest.mark.parametrize("share", [0, math.inf])
+def test_smooth_counts_scale_to_the_float_averages_for_k_a_power_of_two(rng, monkeypatch, share):
+    # dividing by k is exact for k = 2, 4, 8: while k^steps <= 2^53 the
+    # averages are exact, and past 2^63 the float64 counts round as the
+    # averages do, scaled by k^steps (in between only the counts are exact)
+    monkeypatch.setattr(expansion, "_FRONTIER_SHARE", share)
+    for pairs, all_steps in ((1, (1, 10, 30, 31, 40, 53, 63, 70)), (2, (3, 10, 15, 16, 26, 32, 35)), (4, (10, 17, 21))):
+        g = random_permutation_model(9, pairs, seed=pairs)
+        k = len(g.gens)
+        cells = rng.choice(g.n * g.n, 5, replace=False)
+        for steps in all_steps:
+            values, _, _ = smooth(g, cells, steps)
+            assert values.dtype == expansion._count_dtype(k, steps)
+            scaled = values / float(k) ** steps
+            assert np.array_equal(scaled.view(np.int64), _float_steps(g, cells, steps, k).view(np.int64))
+
+
+def test_smooth_counts_fall_back_to_float64_past_2_to_the_63(rng):
+    # k = 3 (a self-inverse symbol and a pair): 3^39 < 2^63 <= 3^40
+    g = small_non_simple_graphs()[0]
+    n = g.n
+    assert [expansion._count_dtype(3, s) for s in (19, 20, 39, 40)] == [np.int32, np.int64, np.int64, np.float64]
+    assert expansion._count_dtype(1, 10**9) == np.int32
+    prod_actions = product_graph(g, g).actions
+    cells = rng.choice(n * n, 4, replace=False)
+    exact = np.zeros(n * n, dtype=object)  # Python integers never overflow
+    exact[cells] = 1
+    for steps in range(1, 46):
+        exact = sum(exact[p] for p in prod_actions)
+        values, _, _ = smooth(g, cells, steps)
+        if steps < 40:
+            assert values.dtype == (np.int32 if steps < 20 else np.int64)
+            assert values.tolist() == exact.tolist()
+        else:
+            assert values.dtype == np.float64
+            assert np.array_equal(values.view(np.int64), _float_steps(g, cells, steps, 1).view(np.int64))
+            assert np.allclose(values, exact.astype(np.float64), rtol=1e-12, atol=0)
 
 
 def test_smooth_rejects_a_graph_without_generators():

@@ -17,7 +17,7 @@ from soficlab.sofic import (
     sofic_report,
     word_action,
 )
-from soficlab import groups
+from soficlab import groups, sofic
 
 from conftest import conjugate_graph, cycle_graph, random_simple_graph
 
@@ -139,6 +139,35 @@ def test_free_cancellation(indices):
     inverse_reversed = tuple(g.gens.inverse_symbol(s) for s in reversed(letters))
     act = word_action(g, Word(letters + inverse_reversed, True))
     assert act.tolist() == list(range(30))
+
+
+def _composed(g, w):
+    """The word's permutation applied letter by letter, rightmost first."""
+    out = np.arange(g.n)
+    for s in reversed(w.letters):
+        out = g.action(s)[out]
+    return out
+
+
+def test_sofic_report_evaluates_from_shared_prefixes_as_letter_by_letter(rng):
+    # each word starts from the prefix it shares with the word before it:
+    # depth-first lists share all but the last letter, shuffled lists with
+    # the empty word, repeats and prefixes of the previous word much less
+    g = random_permutation_model(40, 2, seed=5)
+    dfs = reduced_words(g.gens, 4, expects_identity=False)
+    shuffled = [dfs[i] for i in rng.permutation(len(dfs))]
+    shuffled[3:3] = [Word((), True), Word((), False), shuffled[2], Word(shuffled[2].letters[:1], True)]
+    for words in (dfs, shuffled):
+        expected = [_composed(g, w) for w in words]
+        identity = np.arange(g.n)
+        acts = list(sofic._word_actions(g, words, identity))
+        assert [a.tolist() for a in acts] == [e.tolist() for e in expected]
+        assert [word_action(g, w).tolist() for w in words] == [e.tolist() for e in expected]
+        report = sofic_report(g, words)
+        assert [d for _, d in report.defects] == [defect(g, w) for w in words]
+        for (w, d), e in zip(report.defects, expected):
+            fixed = int(np.count_nonzero(e == identity))
+            assert d == ((g.n - fixed) if w.expects_identity else fixed) / g.n
 
 
 def test_defect_invariant_under_conjugation(rng):
