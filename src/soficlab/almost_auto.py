@@ -79,13 +79,6 @@ class VertexMap:
         return f"VertexMap({self.images.tolist()})"
 
 
-def compose(c1: VertexMap, c2: VertexMap) -> VertexMap:
-    """(c1 . c2)(x) = c1(c2(x))."""
-    if c1.n != c2.n:
-        raise LengthMismatch(f"maps on {c1.n} and {c2.n} vertices")
-    return VertexMap(c1.images[c2.images])
-
-
 def invert(c: VertexMap) -> VertexMap:
     if not c.bijective:
         raise NotBijective("only bijections can be inverted")
@@ -103,7 +96,10 @@ class DefectReport:
 
 
 def graph_of_map(g: LabeledGraph, c: VertexMap) -> VertexSet:
-    """The set ``{(x, c(x))}`` inside the product graph ``g x g``."""
+    """The set ``{(x, c(x))}`` inside the product graph ``g x g``.
+
+    Kept as an oracle: with :func:`product_graph` it is what the tests
+    compare ``smooth``, ``prefix_boundary_counts`` and ``defect_of_map`` against."""
     if c.n != g.n:
         raise LengthMismatch(f"map on {c.n} vertices, graph has {g.n}")
     mask = np.zeros(g.n * g.n, dtype=bool)
@@ -358,6 +354,9 @@ def improve(
             break
         else:
             k = big_n  # the fallback pick ranks every prefix
+    # the n^2 counts are dead: free them before the repair allocates the
+    # result, which outlives this call and so must not split their space
+    del smoothed
     if alpha_feasible:
         cand = np.flatnonzero(feasible & (delta_t == dmin))
         ratios = counts[cand] / sizes[cand]
@@ -451,7 +450,8 @@ def label_automorphisms(g: LabeledGraph) -> list[VertexMap]:
     exists exactly when v is a good vertex of that ball (see
     :func:`good_vertices`: a bijection commuting with every action), so the
     maps are the tree-path images of the good vertices.  The matcher holds
-    about 17 bytes per vertex pair (n^2 of them).
+    about 8.3 bytes per vertex pair (n^2 of them): the whole-graph ball
+    needs no sorted copy of the images.
     """
     if g.n == 0:
         return []

@@ -6,6 +6,13 @@ pushed back to small defect by the improvement pipeline, turn the clusters
 into a finite group, and a multiplicative embedding of a finite word set into
 that group is exactly a LEF certificate.
 
+"Which cluster is this map in" has one answer, ``_locate`` against a stack
+of representatives.  The closure asks it when it places a map; the final
+representatives ask it for the identity, the table's products, the
+inverses and, last, each seed, which gives ``ClusterGroup.seed_clusters``.
+``lef_certificate`` passes its word maps as the seeds and reads their
+clusters from there.
+
 Distance thresholds are compared in exact integer arithmetic
 (``5*d <= n`` for "within n/5" and ``n < 5*d <= 4*n`` for the forbidden band).
 
@@ -66,22 +73,13 @@ from .errors import (
     CollisionFailure,
     DefectTooLarge,
     HypothesisViolation,
-    LengthMismatch,
     MultiplicativityFailure,
     NonPositiveCheeger,
     NotBijective,
-    StructureViolation,
 )
 from .sofic import Word, word_action
 
 CLOSURE_FACTOR = 10
-
-
-def hamming(c1: VertexMap, c2: VertexMap) -> int:
-    """Number of vertices where the two maps disagree."""
-    if c1.n != c2.n:
-        raise LengthMismatch(f"maps on {c1.n} and {c2.n} vertices")
-    return int(np.count_nonzero(c1.images != c2.images))
 
 
 @dataclass
@@ -124,15 +122,13 @@ def dichotomy_check(g: LabeledGraph, delta: float, maps: list[VertexMap], h: flo
     thr = 2.0 * delta * n / h
     violations = []
     if maps:
-        violations = _pairwise(np.stack([m.images for m in maps]), lambda d: (thr < d) & (d < n - thr))[1]
+        violations = _pairwise(np.stack([m.images for m in maps]), lambda d: (thr < d) & (d < n - thr))
     return DichotomyReport(n, thr, len(maps) * (len(maps) - 1) // 2, violations)
 
 
 @dataclass
 class Cluster:
     representative: VertexMap  # lexicographically smallest member
-    members: list[VertexMap]
-    delta: float
 
 
 # cells (bools) compared per block by _distances: 4 MB of temporaries
@@ -150,44 +146,12 @@ def _distances(rows: np.ndarray, others: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pairwise(stack: np.ndarray, in_band) -> tuple[np.ndarray, list[tuple[int, int, int]]]:
-    """Distance matrix of the rows of ``stack`` and the pairs (i, j, d),
-    i < j in row-major order, whose distance d satisfies the vectorised
-    predicate ``in_band``."""
+def _pairwise(stack: np.ndarray, in_band) -> list[tuple[int, int, int]]:
+    """The pairs (i, j, d) of rows of ``stack``, i < j in row-major order,
+    whose distance d satisfies the vectorised predicate ``in_band``."""
     dist = _distances(stack, stack)
     i, j = np.nonzero(np.triu(in_band(dist), 1))
-    return dist, list(zip(i.tolist(), j.tolist(), dist[i, j].tolist()))
-
-
-def cluster_maps(g: LabeledGraph, delta: float, maps: list[VertexMap]) -> list[Cluster]:
-    """Partition delta-almost automorphisms by the distance-n/5 relation.
-
-    Any pairwise distance in (n/5, 4n/5] breaks the dichotomy hypotheses and
-    raises StructureViolation.
-    """
-    maps = list(maps)
-    _check_delta_maps(g, delta, maps, require_bijective=True)
-    if not maps:
-        return []
-    n = g.n
-    dist, gap = _pairwise(np.stack([m.images for m in maps]), lambda d: (n < 5 * d) & (5 * d <= 4 * n))
-    if gap:
-        raise StructureViolation(
-            f"{len(gap)} pairwise distances in (n/5, 4n/5]", violations=gap
-        )
-    # with no distance in (n/5, 4n/5], "within n/5" is transitive:
-    # d(a, b), d(b, c) <= n/5 gives d(a, c) <= 2n/5 <= 4n/5, hence d(a, c) <= n/5;
-    # so each map belongs with the first map within n/5 of it
-    first = np.argmax(5 * dist <= n, axis=1)
-    groups: dict[int, list[VertexMap]] = {}
-    for m, root in zip(maps, first.tolist()):
-        groups.setdefault(root, []).append(m)
-    clusters = []
-    for members in groups.values():
-        members = sorted(members, key=lambda m: m.key())
-        clusters.append(Cluster(members[0], members, delta))
-    clusters.sort(key=lambda cl: cl.representative.key())
-    return clusters
+    return list(zip(i.tolist(), j.tolist(), dist[i, j].tolist()))
 
 
 def _thresholds(n: int) -> str:
@@ -219,6 +183,11 @@ def _locate(reps: np.ndarray, row: np.ndarray) -> int | None:
 
 @dataclass
 class ClusterGroup:
+    """The finite group of clusters: lex-ordered representatives, their
+    product table, the identity and inverses, the improvement counters and
+    the cluster of each seed map (``seed_clusters``, which ``as_dict``
+    leaves out)."""
+
     clusters: list[Cluster]
     table: np.ndarray
     identity_index: int
@@ -230,6 +199,7 @@ class ClusterGroup:
     improve_requests: int
     improve_calls: int  # memo misses, i.e. distinct inputs, fixed points included
     closure_rounds: int
+    seed_clusters: list[int]  # cluster of each seed map, in seed order; not in as_dict
 
     @property
     def order(self) -> int:
@@ -377,9 +347,11 @@ class _Closure:
         self.cluster[i] = c
         return c
 
-    def run(self, seeds: list[VertexMap]):
-        for m in seeds:
-            self.place(self.intern(m.images))
+    def run(self, seeds: list[VertexMap]) -> list[int]:
+        """Place the seeds and close their clusters; returns the seeds' ids."""
+        seed_ids = [self.intern(m.images) for m in seeds]
+        for i in seed_ids:
+            self.place(i)
         done = 0  # inverses of clusters [0, done) and all their products are placed
         while True:
             self.rounds += 1
@@ -395,6 +367,7 @@ class _Closure:
                 for j in first[done if i < done else 0 :]:
                     self.place(self.product(first[i], j))
             done = size
+        return seed_ids
 
 
 class _Representatives:
@@ -407,7 +380,7 @@ class _Representatives:
         self.ids = np.array(ids, dtype=np.int64)
         self.stack = closure.pool[self.ids]
         n = closure.n
-        close = _pairwise(self.stack, lambda d: 5 * d <= 4 * n)[1]
+        close = _pairwise(self.stack, lambda d: 5 * d <= 4 * n)
         if close:
             i, j, d = close[0]
             raise HypothesisViolation(
@@ -499,6 +472,13 @@ def cluster_group(
     d(a(bc), (ab)c) <= 4n/5 is verified for all representative triples, and
     the table itself must be exactly associative.
 
+    Last, each seed is located against the final representatives, which
+    gives ``seed_clusters``.  A seed lies within n/5 of the first member of
+    its closure cluster, and so does that cluster's lex-min member, its
+    final representative; so the seed lies within 2n/5 of it, and either
+    within n/5 or in the band (n/5, 4n/5], which raises HypothesisViolation.
+    No pinned input reaches that case.
+
     Every improvement is that of a product of two map ids and goes through
     one pair table and one memo that live for this call only, so ``improve``
     runs at most once per distinct input map (exact, because ``improve`` is
@@ -521,17 +501,16 @@ def cluster_group(
     _check_delta_maps(g, delta, seeds, require_bijective=True)
     bound = closure_bound if closure_bound is not None else CLOSURE_FACTOR * len(seeds)
     closure = _Closure(g.n, _checked_improvement(g, delta, cfg), bound)
-    closure.run(seeds)
+    seed_ids = closure.run(seeds)
 
-    # canonical order and lex-min representatives, then one deterministic
-    # rebuild of the table against the final representatives
-    final_members = [sorted(mem, key=lambda i: closure.pool[i].tolist()) for mem in closure.members]
-    final_members.sort(key=lambda mem: closure.pool[mem[0]].tolist())
-    clusters = []
-    for mem in final_members:
-        maps = [VertexMap(closure.pool[i]) for i in mem]
-        clusters.append(Cluster(maps[0], maps, delta))
-    reps = _Representatives(closure, [mem[0] for mem in final_members])
+    # lex-min representatives in lexicographic order, then one deterministic
+    # rebuild of the table against them
+    def lex(i: int) -> list[int]:
+        return closure.pool[i].tolist()
+
+    rep_ids = sorted((min(mem, key=lex) for mem in closure.members), key=lex)
+    clusters = [Cluster(VertexMap(closure.pool[i])) for i in rep_ids]
+    reps = _Representatives(closure, rep_ids)
     k = len(clusters)
 
     identity_index = reps.locate(closure.intern(VertexMap.identity(g.n).images))
@@ -552,6 +531,7 @@ def cluster_group(
             raise HypothesisViolation("cluster multiplication table is not associative")
     answered = _check_associativity_inequality(reps, table, prods)
     closure.requests += answered  # read after the call, which counts requests too
+    seed_clusters = [reps.locate(i) for i in seed_ids]
     return ClusterGroup(
         clusters,
         table,
@@ -562,6 +542,7 @@ def cluster_group(
         improve_requests=closure.requests,
         improve_calls=closure.calls,
         closure_rounds=closure.rounds,
+        seed_clusters=seed_clusters,
     )
 
 
@@ -614,6 +595,10 @@ def lef_certificate(
     measured on the gamma-labeled subgraph only.  The certificate succeeds
     when all pairwise products land in pairwise distinct clusters and cluster
     multiplication matches word concatenation.
+
+    The word maps, of the words and of their pairwise concatenations, are
+    the seeds of one ``cluster_group`` call, and each word's cluster is its
+    map's entry of ``ClusterGroup.seed_clusters``.
     """
     _check_delta(delta)
     if not f_words:
@@ -637,7 +622,7 @@ def lef_certificate(
             if w1 + w2 not in ff_letters:
                 ff_letters.append(w1 + w2)
 
-    maps: dict[tuple[str, ...], VertexMap] = {}
+    maps = []
     for letters in ff_letters:
         m = VertexMap(word_action(g, Word(letters, True)))
         bad = defect_of_map(g_gamma, m).bad_edges
@@ -645,18 +630,10 @@ def lef_certificate(
             raise DefectTooLarge(
                 f"word {' '.join(letters) or '()'} has {bad} bad gamma edges, above delta*n"
             )
-        maps[letters] = m
+        maps.append(m)
 
-    cg = cluster_group(g_gamma, delta, [maps[w] for w in ff_letters], cfg)
-    stack = np.stack([cl.representative.images for cl in cg.clusters])
-
-    def locate(m: VertexMap) -> int:
-        idx = _locate(stack, m.images)
-        if idx is None:
-            raise HypothesisViolation("word map does not sit in a unique cluster")
-        return idx
-
-    cluster_of = {letters: locate(maps[letters]) for letters in ff_letters}
+    cg = cluster_group(g_gamma, delta, maps, cfg)
+    cluster_of = dict(zip(ff_letters, cg.seed_clusters))
     seen: dict[int, tuple[str, ...]] = {}
     for letters in ff_letters:
         idx = cluster_of[letters]

@@ -248,7 +248,10 @@ def cayley_graph(mult_table, gen_indices, symbol_names: list[str] | None = None)
 
 
 def product_graph(g: LabeledGraph, h: LabeledGraph) -> LabeledGraph:
-    """Diagonal product: vertex (x, y) -> x*|V(h)| + y, s.(x, y) = (s.x, s.y)."""
+    """Diagonal product: vertex (x, y) -> x*|V(h)| + y, s.(x, y) = (s.x, s.y).
+
+    Kept as an oracle: with :func:`graph_of_map` it is what the tests compare
+    ``smooth``, ``prefix_boundary_counts`` and ``defect_of_map`` against."""
     if g.gens != h.gens:
         raise GeneratorSetMismatch("factors must share the same generator set")
     nh = h.n
@@ -423,7 +426,10 @@ def rooted_ball(g: LabeledGraph, v: int, r: int) -> RootedBall:
 
 
 def rooted_ball_isomorphic(b1: RootedBall, b2: RootedBall) -> bool:
-    """Label-respecting root-preserving isomorphism via canonical-form equality."""
+    """Label-respecting root-preserving isomorphism via canonical-form equality.
+
+    Kept as the isomorphism test that :class:`RootedBall`'s canonical
+    numbering promises: equal arrays exactly when the balls are isomorphic."""
     return (
         b1.gens == b2.gens
         and b1.size == b2.size

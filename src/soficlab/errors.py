@@ -61,14 +61,6 @@ class NonPositiveCheeger(SoficlabError):
     pass
 
 
-class StructureViolation(SoficlabError):
-    """Pairwise Hamming distances landed in the forbidden middle band."""
-
-    def __init__(self, message, violations=None):
-        super().__init__(message)
-        self.violations = list(violations or [])
-
-
 class ClosureFailure(SoficlabError):
     pass
 

@@ -247,6 +247,7 @@ def smooth(g: LabeledGraph, cells: np.ndarray, steps: int) -> tuple[np.ndarray, 
     else:
         touched = np.concatenate((cells, support))
         diff[touched] = np.square(diff[touched])
+        del touched  # made while the gap buffer is live; free before the count buffers reuse its space
     gap = float(diff.reshape(n, n).sum())
     del diff
     if support is not None:

@@ -18,7 +18,6 @@ from soficlab.almost_auto import (
     ImprovementWorkspace,
     VertexMap,
     _greedy_fill,
-    compose,
     defect_of_map,
     format_map_text,
     graph_of_map,
@@ -27,7 +26,7 @@ from soficlab.almost_auto import (
     label_automorphisms,
     parse_map_text,
 )
-from soficlab.errors import InvalidMapFile, LengthMismatch, NotBijective, SoficlabError
+from soficlab.errors import InvalidMapFile, NotBijective, SoficlabError
 from soficlab.core_graph import ball_images, is_connected, restrict_labels, subset_of_generators
 from soficlab.expansion import cheeger_exact
 from soficlab.sofic import random_permutation_model
@@ -123,12 +122,10 @@ def test_epsilon_characterization(rng):
 
 def test_compose_and_invert():
     c = VertexMap([2, 0, 1, 4, 3])
-    assert compose(c, invert(c)) == VertexMap.identity(5)
+    assert VertexMap(c.images[invert(c).images]) == VertexMap.identity(5)
     assert invert(VertexMap.identity(5)) == VertexMap.identity(5)
     with pytest.raises(NotBijective):
         invert(VertexMap([0, 0, 1, 2, 3]))
-    with pytest.raises(LengthMismatch):
-        compose(c, VertexMap.identity(4))
 
 
 def test_compose_defect_subadditive(rng):
@@ -139,7 +136,7 @@ def test_compose_defect_subadditive(rng):
         c2 = VertexMap(rng.permutation(n))
         b1 = defect_of_map(g, c1).bad_edges
         b2 = defect_of_map(g, c2).bad_edges
-        b12 = defect_of_map(g, compose(c1, c2)).bad_edges
+        b12 = defect_of_map(g, VertexMap(c1.images[c2.images])).bad_edges
         assert b12 <= b1 + b2
 
 

@@ -30,10 +30,8 @@ from soficlab.clusters import (
     _locate,
     _Representatives,
     cluster_group,
-    cluster_maps,
     dichotomy_check,
     group_invariants,
-    hamming,
     lef_certificate,
 )
 from soficlab.errors import (
@@ -41,16 +39,19 @@ from soficlab.errors import (
     CollisionFailure,
     DefectTooLarge,
     HypothesisViolation,
-    LengthMismatch,
     MultiplicativityFailure,
     NonPositiveCheeger,
     NotBijective,
-    StructureViolation,
 )
-from soficlab.sofic import Word, random_permutation_model
+from soficlab.sofic import Word, random_permutation_model, word_action
 from soficlab import groups
 
 from conftest import cycle_graph, two_cycles
+
+
+def hamming(c1, c2):
+    """Oracle: the number of vertices where the two maps disagree."""
+    return int(np.count_nonzero(c1.images != c2.images))
 
 
 def brute_force_automorphisms(g):
@@ -61,34 +62,6 @@ def brute_force_automorphisms(g):
         if defect_of_map(g, c).bad_edges == 0:
             out.append(c)
     return out
-
-
-def test_hamming_examples():
-    c = VertexMap([3, 1, 0, 2])
-    assert hamming(c, c) == 0
-    assert hamming(VertexMap.identity(6), VertexMap([1, 0, 2, 3, 4, 5])) == 2
-    with pytest.raises(LengthMismatch):
-        hamming(c, VertexMap.identity(6))
-
-
-def test_hamming_distinct_translations_is_n():
-    table, gens = groups.preset_group("s3")
-    for a in range(6):
-        for b in range(6):
-            d = hamming(VertexMap(table[:, a]), VertexMap(table[:, b]))
-            assert d == (0 if a == b else 6)
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.data())
-def test_hamming_is_a_metric(data):
-    n = data.draw(st.integers(min_value=1, max_value=12))
-    perms = [data.draw(st.permutations(range(n))) for _ in range(3)]
-    a, b, c = (VertexMap(p) for p in perms)
-    assert hamming(a, b) >= 0
-    assert hamming(a, b) == hamming(b, a)
-    assert (hamming(a, b) == 0) == (a == b)
-    assert hamming(a, c) <= hamming(a, b) + hamming(b, c)
 
 
 def test_dichotomy_exact_automorphisms():
@@ -127,42 +100,6 @@ def test_dichotomy_refuses_non_finite_h(h):
         dichotomy_check(g, 0.0, [VertexMap.identity(10), half_turn], h=h)
 
 
-def test_cluster_maps_translations_are_singletons():
-    table, gens = groups.preset_group("s3")
-    g = cayley_graph(table, gens)
-    clusters = cluster_maps(g, 0.0, [VertexMap(table[:, e]) for e in range(6)])
-    assert len(clusters) == 6
-    assert all(len(cl.members) == 1 for cl in clusters)
-
-
-def test_cluster_maps_groups_small_corruption():
-    g = cycle_graph(12)
-    base = VertexMap(np.roll(np.arange(12), -3))
-    corrupted = base.images.copy()
-    corrupted[[0, 1]] = corrupted[[1, 0]]
-    clusters = cluster_maps(g, 0.5, [base, VertexMap(corrupted)])
-    assert len(clusters) == 1
-    assert len(clusters[0].members) == 2
-    # representative is the lexicographically smallest member
-    assert clusters[0].representative.key() == min(base.key(), tuple(corrupted.tolist()))
-
-
-def test_cluster_maps_detects_gap_distances():
-    g = two_cycles(5)
-    half_turn = VertexMap(list(range(5)) + [6, 7, 8, 9, 5])
-    with pytest.raises(StructureViolation) as exc:
-        cluster_maps(g, 0.0, [VertexMap.identity(10), half_turn])
-    assert exc.value.violations == [(0, 1, 5)]
-
-
-def test_cluster_maps_validates_preconditions():
-    g = cycle_graph(6)
-    with pytest.raises(NotBijective):
-        cluster_maps(g, 1.0, [VertexMap([0, 0, 1, 2, 3, 4])])
-    with pytest.raises(DefectTooLarge):
-        cluster_maps(g, 0.0, [VertexMap([1, 0, 2, 3, 4, 5])])
-
-
 def _reference_violations(maps, in_band):
     """The double loop over pairs that the vectorised helper replaced."""
     out = []
@@ -172,27 +109,6 @@ def _reference_violations(maps, in_band):
             if in_band(d):
                 out.append((i, j, d))
     return out
-
-
-def _reference_cluster_maps(maps, n):
-    """Union-find over the within-n/5 pairs, as before the partition read the
-    first map within n/5 of each map."""
-    parent = list(range(len(maps)))
-
-    def find(a):
-        while parent[a] != a:
-            a = parent[a]
-        return a
-
-    for i in range(len(maps)):
-        for j in range(i + 1, len(maps)):
-            if 5 * hamming(maps[i], maps[j]) <= n:
-                parent[find(i)] = find(j)
-    groups_: dict[int, list] = {}
-    for i, m in enumerate(maps):
-        groups_.setdefault(find(i), []).append(m)
-    members = [sorted(mem, key=lambda m: m.key()) for mem in groups_.values()]
-    return sorted(([m.key() for m in mem] for mem in members), key=lambda keys: keys[0])
 
 
 @settings(max_examples=60, deadline=None)
@@ -215,14 +131,6 @@ def test_pairwise_helpers_match_the_double_loops(data):
     h = 2.0 * delta / data.draw(st.floats(min_value=0.02, max_value=0.6))  # threshold 2 delta n / h
     report = dichotomy_check(g, delta, maps, h)
     assert report.violations == _reference_violations(maps, lambda d: report.threshold < d < n - report.threshold)
-    gap = _reference_violations(maps, lambda d: n < 5 * d <= 4 * n)
-    if gap:
-        with pytest.raises(StructureViolation) as exc:
-            cluster_maps(g, delta, maps)
-        assert exc.value.violations == gap
-    else:
-        got = [[m.key() for m in cl.members] for cl in cluster_maps(g, delta, maps)]
-        assert got == _reference_cluster_maps(maps, n)
 
 
 def test_locate_finds_the_single_close_representative():
@@ -286,6 +194,14 @@ def test_cluster_group_identity_only_seed():
     assert group_invariants(cg) == (1, [1], True)
 
 
+def test_cluster_group_validates_preconditions():
+    g = cycle_graph(6)
+    with pytest.raises(NotBijective):
+        cluster_group(g, 1.0, [VertexMap([0, 0, 1, 2, 3, 4])], ImprovementConfig())
+    with pytest.raises(DefectTooLarge):
+        cluster_group(g, 0.0, [VertexMap([1, 0, 2, 3, 4, 5])], ImprovementConfig())
+
+
 def test_cluster_group_table_invariants():
     g = cycle_graph(7)
     cg = cluster_group(g, 0.0, label_automorphisms(g), ImprovementConfig())
@@ -301,7 +217,7 @@ def test_cluster_group_table_invariants():
                 assert cg.table[cg.table[a, b], c] == cg.table[a, cg.table[b, c]]
     # representatives satisfy the stored defect bound
     for cl in cg.clusters:
-        assert defect_of_map(g, cl.representative).bad_edges <= cl.delta * g.n
+        assert defect_of_map(g, cl.representative).bad_edges <= cg.delta * g.n
 
 
 def test_cluster_group_deterministic():
@@ -703,6 +619,19 @@ def test_cluster_group_on_corrupted_seeds_is_pinned(monkeypatch, block_cells):
     assert _sha256(doc) == "7c941bd8917cc8e1255c0a875eb96996c5271b8ab11d2285101a7be5b845d451"
 
 
+def test_seed_clusters_are_the_seeds_located_against_the_representatives():
+    # corrupted Cay(S4): 6 of the 24 seeds are not representatives, so their
+    # clusters come from _locate rather than from a representative's own index
+    table, gens = groups.preset_group("s4")
+    g = cayley_graph(table, gens)
+    seeds = _corrupted_s4_seeds(g)
+    cg = cluster_group(g, 0.5, seeds, ImprovementConfig())
+    stack = np.stack([cl.representative.images for cl in cg.clusters])
+    assert cg.seed_clusters == [_locate(stack, m.images) for m in seeds]
+    representatives = {cl.representative.key() for cl in cg.clusters}
+    assert sum(m.key() not in representatives for m in seeds) == 6
+
+
 @pytest.mark.parametrize(
     "name, picks, digest",
     [
@@ -820,6 +749,22 @@ def test_lef_certificate_s4xz5_is_pinned():
     assert _sha256(cert.as_dict()) == "02ecfe842fe2293f4fea8740264a5cf93954368d85d51bc7ff073b168928c4a9"
 
 
+def test_lef_certificate_witnesses_are_the_seed_clusters():
+    # the words of the S4 x Z5 certificate and their concatenations, (), g1
+    # up to g1^4, are the seeds of its cluster group, in witness order; each
+    # cluster is the one _locate finds for the word map
+    table, gens = groups.preset_group("s4xz5")
+    g = cayley_graph(table, gens)
+    f_words = [Word((), True), Word(("g1",), True), Word(("g1", "g1"), True)]
+    cert = lef_certificate(g, ["g30", "g45", "g90"], f_words, 0.0, ImprovementConfig())
+    clusters_of_words = [w["cluster"] for w in cert.witnesses]
+    assert clusters_of_words == cert.group.seed_clusters
+    stack = np.stack([cl.representative.images for cl in cert.group.clusters])
+    located = [_locate(stack, word_action(g, Word(tuple(w["word"]), True))) for w in cert.witnesses]
+    assert [len(w["word"]) for w in cert.witnesses] == [0, 1, 2, 3, 4]
+    assert clusters_of_words == located
+
+
 def test_lef_certificate_raises_multiplicativity_failure(monkeypatch):
     # on Cay(S3 x S3) the words g2, g3 certify a non-abelian group of order
     # 6, so the transposed cluster table answers g2 * g3 with g3 * g2
@@ -891,7 +836,6 @@ def test_cluster_functions_reject_non_finite_delta(delta):
     assert defect_of_map(g, maps[1]).bad_edges > 0
     calls = [
         lambda: dichotomy_check(g, delta, maps, h=1.5),
-        lambda: cluster_maps(g, delta, maps),
         lambda: cluster_group(g, delta, maps, ImprovementConfig()),
         lambda: lef_certificate(cayley_graph(*groups.preset_group("s3xz4")), ["g8", "g12", "g16"], [Word((), True)],
                                 delta, ImprovementConfig()),
