@@ -11,16 +11,16 @@ The product graph is never built: ``expansion.smooth`` and
 ``expansion.prefix_boundary_counts`` act on the n^2 cells, cell ``x * n + y``
 being the product vertex ``(x, y)``, and :func:`defect_of_map` has the
 boundary of the graph in closed form.  The smoothing is done in exact
-integer walk counts ``A^j chi`` (``A = k M`` sums the k symbol gathers), in
-int32 while ``k^steps < 2**31``: they order the cells exactly as
+integer walk counts ``A^j chi`` (``A = k M`` sums the k symbol gathers;
+see ``expansion.smooth`` for their dtype): they order the cells exactly as
 ``M^steps chi`` does, exact ties broken by cell index.  After j steps the
 counts are zero outside the j-step neighbourhood of the graph, so while
 that neighbourhood is small a step computes only its cells; later steps
-are dense passes over row tiles.  The smoothing gap is formed once, from
-the first step, in a float64 buffer summed over the whole n^2 cells, as a
-dense pass would sum it.  The sweep orders and counts only the top K of
-the n^2 cells, K certified to hold the pick (see :func:`improve`), so past
-the smoothing the work scales with the chosen set, not with n^2.
+are dense passes over row tiles.  The smoothing gap is exact, from the k
+one-step images of each cell of the graph.  The sweep orders and counts
+only the top K of the n^2 cells, K certified to hold the pick (see
+:func:`improve`), so past the smoothing the work scales with the chosen
+set, not with n^2.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .core_graph import (
     LabeledGraph, RootedBall, VertexSet, ball_images, good_vertices, is_connected, rooted_ball,
 )
 from .errors import InvalidMapFile, LengthMismatch, NotBijective
-from .expansion import descending_order, lambda2, prefix_boundary_counts, smooth
+from .expansion import descending_order, lambda2, prefix_boundary_counts, smooth, smoothing_gap
 
 REPAIR_RESCORING_LIMIT = 512
 # improve() sweeps the full order at once when the first certified prefix,
@@ -279,18 +279,17 @@ def improve(
 ) -> tuple[VertexMap, ImprovementTrace]:
     """Improve an almost automorphism by spectral sweep rounding plus repair.
 
-    The smoothed indicator is ``M^steps chi_T``, swept as the walk counts
-    ``A^steps chi_T = k^steps M^steps chi_T`` of ``expansion.smooth``:
-    exact integers (int32 while ``k^steps < 2**31``, int64 below 2**63,
-    float64 beyond), so the descending order is the exact order of
-    ``M^steps chi_T``, exact ties broken by cell index.  While the support
-    is small, a step computes only the cells next to the previous step's
-    support; later steps are whole dense passes, and the counts are the
-    same either way.  ``trace.smoothed_cells`` counts the cells computed,
-    n^2 per dense step, and ``trace.smoothing_gap`` is
-    ``||chi_T - M chi_T||^2``, formed once from the first step and summed
-    over the whole n^2 cells in one float64 buffer.  The sweep looks the
-    ordered cells up in the sorted T cells, so it needs no n^2 mask of T.
+    The smoothed indicator is ``M^steps chi_T``, swept as the exact walk
+    counts ``A^steps chi_T = k^steps M^steps chi_T`` of ``expansion.smooth``,
+    so the descending order is the exact order of ``M^steps chi_T``, exact
+    ties broken by cell index.  While the support is small, a step computes
+    only the cells next to the previous step's support; later steps are
+    whole dense passes, and the counts are the same either way.
+    ``trace.smoothed_cells`` counts the cells computed, n^2 per dense step.
+    ``trace.smoothing_gap`` is ``||chi_T - M chi_T||^2`` from
+    ``expansion.smoothing_gap``, the exact value correctly rounded, in
+    O(k |T|).  The sweep looks the ordered cells up in the sorted T cells,
+    so it needs no n^2 mask of T.
 
     The sweep picks, among the prefixes of the descending order of the
     smoothed indicator that satisfy ``|bd(U)| <= alpha |U|``, one with the
@@ -330,7 +329,8 @@ def improve(
         t_rows = np.arange(n)
     t_size = int(t_rows.size)
     t_cells = t_rows * n + c.images[t_rows]  # ascending: one cell per row
-    smoothed, smoothing_gap, smoothed_cells = smooth(g, t_cells, cfg.smoothing_steps)
+    gap = smoothing_gap(g, t_cells)
+    smoothed, smoothed_cells = smooth(g, t_cells, cfg.smoothing_steps)
 
     # top-K sweep, K certified as in the docstring: delta_t[j] >= j - t_size
     k = 2 * t_size + 1
@@ -406,8 +406,8 @@ def improve(
         target_met=final.bad_edges <= cfg.target_delta * n,
         reverted=reverted,
         good_set_degraded=good_set_degraded,
-        smoothing_gap=smoothing_gap,
-        symmetric_difference_budget=10.0 / cfg.kappa**2 * smoothing_gap,
+        smoothing_gap=gap,
+        symmetric_difference_budget=10.0 / cfg.kappa**2 * gap,
         candidate_bad_edges=cand_report.bad_edges,
         rows_trimmed=rows_trimmed,
         cols_trimmed=cols_trimmed,

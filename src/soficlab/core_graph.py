@@ -98,28 +98,15 @@ class VertexSet:
     def empty(cls, n: int) -> "VertexSet":
         return cls(np.zeros(n, dtype=bool))
 
-    @classmethod
-    def full(cls, n: int) -> "VertexSet":
-        return cls(np.ones(n, dtype=bool))
-
     @property
     def n(self) -> int:
         return self.mask.size
-
-    def complement(self) -> "VertexSet":
-        return VertexSet(~self.mask)
 
     def indices(self) -> np.ndarray:
         return np.flatnonzero(self.mask)
 
     def __contains__(self, v) -> bool:
         return bool(self.mask[v])
-
-    def __and__(self, other: "VertexSet") -> "VertexSet":
-        return VertexSet(self.mask & other.mask)
-
-    def __or__(self, other: "VertexSet") -> "VertexSet":
-        return VertexSet(self.mask | other.mask)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, VertexSet) and np.array_equal(self.mask, other.mask)

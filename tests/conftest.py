@@ -27,6 +27,17 @@ def two_cycles(n: int) -> LabeledGraph:
     return make_labeled_graph(2 * n, GeneratorSet.from_pairs([("a", "A")]), [fwd, np.argsort(fwd)])
 
 
+def involution_model(n: int, seed: int) -> LabeledGraph:
+    """k = 3: a random self-inverse symbol with fixed points next to a random pair."""
+    rng = np.random.default_rng(seed)
+    perm = rng.permutation(n)
+    t = np.arange(n)
+    m = 2 * (n // 3)
+    t[perm[0:m:2]], t[perm[1:m:2]] = perm[1:m:2], perm[0:m:2]
+    p = rng.permutation(n)
+    return make_labeled_graph(n, GeneratorSet.from_pairs([("t", "t"), ("a", "A")]), [t, p, np.argsort(p)])
+
+
 def conjugate_graph(g: LabeledGraph, sigma: np.ndarray) -> LabeledGraph:
     """Relabel vertices by sigma: each action p becomes sigma . p . sigma^-1."""
     inv = np.argsort(sigma)

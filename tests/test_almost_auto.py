@@ -32,7 +32,7 @@ from soficlab.expansion import cheeger_exact
 from soficlab.sofic import random_permutation_model
 from soficlab import groups
 
-from conftest import cycle_graph, random_connected_graph, random_simple_graph, two_cycles
+from conftest import cycle_graph, involution_model, random_connected_graph, random_simple_graph, two_cycles
 
 
 def slow_bad_edges(g, images):
@@ -242,9 +242,9 @@ def test_improve_memory_budget():
 
 
 def test_improve_peak_is_below_12_bytes_per_cell():
-    # the smoothing gap's float64 buffer beside the frontier marks, then two
-    # int32 count buffers: ~10 bytes per cell; with two float64 smoothing
-    # buffers and the n^2 bool T mask the peak was ~21 bytes per cell
+    # two int32 count buffers beside the frontier marks: ~10 bytes per
+    # cell; with two float64 smoothing buffers and the n^2 bool T mask the
+    # peak was ~21 bytes per cell
     n = 1000
     g = random_permutation_model(n, 2, seed=n)
     cfg = ImprovementConfig()
@@ -460,17 +460,6 @@ def _transposed(base, pairs, rng):
     return out
 
 
-def _involution_model(n, seed):
-    """A self-inverse symbol with fixed points next to a random pair."""
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(n)
-    t = np.arange(n)
-    m = 2 * (n // 3)
-    t[perm[0:m:2]], t[perm[1:m:2]] = perm[1:m:2], perm[0:m:2]
-    p = rng.permutation(n)
-    return make_labeled_graph(n, GeneratorSet.from_pairs([("t", "t"), ("a", "A")]), [t, p, np.argsort(p)])
-
-
 def improve_corpus():
     """(graph, config, input maps) for the pinned improve corpus."""
     table, gen_idx = groups.preset_group("s5")
@@ -491,7 +480,7 @@ def improve_corpus():
         ident = np.arange(n)
         maps = [_transposed(ident, p, rng) for p in (1, n // 20, n // 5)]
         cases.append((g, ImprovementConfig(), maps if n < 1000 else maps[1:]))
-    g = _involution_model(150, 3)
+    g = involution_model(150, 3)
     cases.append((g, ImprovementConfig(), [_transposed(np.arange(150), p, rng) for p in (2, 10, 40)]))
     g = random_permutation_model(120, 2, seed=120)
     maps = [_transposed(np.arange(120), 12, rng), rng.permutation(120)]
@@ -500,11 +489,12 @@ def improve_corpus():
     return cases
 
 
-def improve_corpus_digest(cases) -> str:
-    """sha256 over every improved map and trace, the trace without
-    ``sweep_cells`` and ``smoothed_cells`` (counters of how the sweep and
-    the smoothing got there, not of what they found)."""
-    digest = hashlib.sha256()
+def improve_corpus_digests(cases) -> tuple[str, str]:
+    """sha256 over every improved map, and over every improved map and
+    trace, the trace without ``sweep_cells`` and ``smoothed_cells``
+    (counters of how the sweep and the smoothing got there, not of what
+    they found)."""
+    maps_digest, digest = hashlib.sha256(), hashlib.sha256()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for g, cfg, maps in cases:
@@ -514,9 +504,10 @@ def improve_corpus_digest(cases) -> str:
                 doc = trace.as_dict()
                 doc.pop("sweep_cells", None)
                 doc.pop("smoothed_cells", None)
+                maps_digest.update(improved.images.astype("<i8").tobytes())
                 digest.update(improved.images.astype("<i8").tobytes())
                 digest.update(json.dumps(doc, sort_keys=True).encode())
-    return digest.hexdigest()
+    return maps_digest.hexdigest(), digest.hexdigest()
 
 
 def test_improve_corpus_matches_the_pinned_digest():
@@ -526,7 +517,14 @@ def test_improve_corpus_matches_the_pinned_digest():
     # moved only the traces' alpha: every improved map stayed bit-identical.
     # Re-pinned again when disconnected graphs got the 1e-9 alpha floor: only
     # the two-component involution model's alpha moved (4.16e-16 -> 1e-9).
-    assert improve_corpus_digest(improve_corpus()) == "0d1aa00433f6296f9d349e424ac14620e3901d1d87b3c3f9ead786b9af5a0a51"
+    # The maps alone have not moved since; the full digest was re-pinned
+    # when the smoothing gap became the exact value correctly rounded: 117
+    # traces with k = 3 (115 on Cay(S5), 2 on the involution model) moved by
+    # at most 1 ulp in smoothing_gap and symmetric_difference_budget, the
+    # 12 with k = 4 did not, and no improved map moved.
+    maps_digest, digest = improve_corpus_digests(improve_corpus())
+    assert maps_digest == "09ba4473789952614dceb9a57a8f180f7b52eff57646fe1862b4d68b18e3bc8f"
+    assert digest == "e489e5f5c3ef89c9f978aba138a52015dec3639c1d322bafc42c2cea22a161d3"
 
 
 def _misses_the_good_set(good: np.ndarray, rng) -> np.ndarray:
@@ -547,7 +545,7 @@ def _smoothing_cases():
     for steps in range(1, 11):
         rng = np.random.default_rng(steps)
         n = 30 + 13 * steps
-        g = _involution_model(n, steps)
+        g = involution_model(n, steps)
         cfg = ImprovementConfig(smoothing_steps=steps)
         degraded = _misses_the_good_set(ImprovementWorkspace(g, cfg).good.mask, rng)
         cases.append((g, cfg, [degraded, _transposed(np.arange(n), 2, rng), rng.permutation(n)]))

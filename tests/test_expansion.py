@@ -22,12 +22,13 @@ from soficlab.expansion import (
     lambda2,
     prefix_boundary_counts,
     smooth,
+    smoothing_gap,
     sweep_cut,
 )
 from soficlab.sofic import random_permutation_model
 from soficlab import groups
 
-from conftest import cycle_graph, random_connected_graph, random_simple_graph, two_cycles
+from conftest import cycle_graph, involution_model, random_connected_graph, random_simple_graph, two_cycles
 
 
 def brute_cheeger(g):
@@ -431,7 +432,7 @@ def _neighbourhood_sizes(g, cells, steps):
 def test_smooth_is_bit_identical_to_repeated_average(rng, monkeypatch, share):
     # share 0 runs every step on its frontier, share inf every step dense; the
     # oracle is the product graph's gather summed in int64, independent of
-    # smooth's kernel, and the gap is that of the float averages
+    # smooth's kernel
     monkeypatch.setattr(expansion, "_FRONTIER_SHARE", share)
     for g in small_non_simple_graphs() + [random_permutation_model(40, 2, seed=4)]:
         n = g.n
@@ -443,17 +444,70 @@ def test_smooth_is_bit_identical_to_repeated_average(rng, monkeypatch, share):
             powers = [chi]
             for _ in range(8):
                 powers.append(powers[-1][prod_actions].sum(axis=0))
-            gap = float(((chi.reshape(n, n) - (powers[1] / len(g.gens)).reshape(n, n)) ** 2).sum())
             neighbourhoods = _neighbourhood_sizes(g, cells, 8)
             for steps, expected in enumerate(powers[1:], 1):
-                values, got_gap, computed = smooth(g, cells, steps)
+                values, computed = smooth(g, cells, steps)
                 assert values.dtype == np.int32
                 assert np.array_equal(values, expected)
-                assert got_gap.hex() == gap.hex()
                 if share == 0:
                     assert computed == sum(neighbourhoods[:steps])
                 elif share == math.inf:
                     assert computed == steps * n * n
+
+
+def _exact_gap(g, cells):
+    """``||chi - M chi||^2`` as a Fraction, from the product graph's gathers."""
+    k = len(g.gens)
+    chi = np.zeros(g.n * g.n, dtype=np.int64)
+    chi[cells] = 1
+    walks = chi[product_graph(g, g).actions].sum(axis=0)
+    return Fraction(int(((k * chi - walks) ** 2).sum()), k * k)
+
+
+def _float_gap(g, cells):
+    """``((chi - M chi) ** 2).sum()`` in float64 over the ``(n, n)`` cells,
+    pairwise summation, ``M chi`` the product graph's gathers divided by k."""
+    n = g.n
+    chi = np.zeros(n * n)
+    chi[cells] = 1.0
+    average = chi[product_graph(g, g).actions].sum(axis=0) / len(g.gens)
+    return float(((chi - average).reshape(n, n) ** 2).sum())
+
+
+def test_smoothing_gap_equals_the_exact_fraction(rng):
+    graphs = small_non_simple_graphs() + [involution_model(n, n) for n in (9, 30)]  # k = 3
+    graphs += [random_permutation_model(n, 3, seed=n) for n in (9, 30)]  # k = 6
+    for g in graphs:
+        n = g.n
+        for size in {1, n, n * n // 3}:
+            cells = rng.choice(n * n, size, replace=False)
+            assert smoothing_gap(g, cells) == float(_exact_gap(g, cells))
+        assert smoothing_gap(g, np.arange(0)) == 0.0
+    with pytest.raises(ValueError, match="no generators"):
+        smoothing_gap(random_permutation_model(5, 0, 0), np.arange(5))
+
+
+def test_smoothing_gap_is_correctly_rounded_where_the_float_sum_is_not():
+    # k = 6 and one cell whose 6 images are distinct cells outside it: the
+    # gap is 1 + 6 / 6^2 = 7/6, and the float sum of the 1/36 terms lands
+    # one ulp below it
+    g = random_permutation_model(5, 3, seed=0)
+    x, y = divmod(1, g.n)
+    images = g.actions[:, x] * g.n + g.actions[:, y]
+    assert len(set(images.tolist()) - {1}) == 6
+    assert smoothing_gap(g, [1]).hex() == float(Fraction(7, 6)).hex() == "0x1.2aaaaaaaaaaabp+0"
+    assert _float_gap(g, [1]).hex() == "0x1.2aaaaaaaaaaaap+0"
+
+
+def test_smoothing_gap_keeps_the_float_sum_bits_for_k_a_power_of_two(rng):
+    # for k = 2, 4, 8 every term of the float sum is a multiple of 1/k^2, so
+    # the sum is exact and equals the correctly rounded gap bit for bit
+    for pairs in (1, 2, 4):
+        for n in (5, 17, 40):
+            g = random_permutation_model(n, pairs, seed=n + pairs)
+            for size in {1, n, n * n // 3}:
+                cells = rng.choice(n * n, size, replace=False)
+                assert smoothing_gap(g, cells).hex() == _float_gap(g, cells).hex()
 
 
 def _float_steps(g, cells, steps, divisor):
@@ -482,7 +536,7 @@ def test_smooth_counts_scale_to_the_float_averages_for_k_a_power_of_two(rng, mon
         k = len(g.gens)
         cells = rng.choice(g.n * g.n, 5, replace=False)
         for steps in all_steps:
-            values, _, _ = smooth(g, cells, steps)
+            values, _ = smooth(g, cells, steps)
             assert values.dtype == expansion._count_dtype(k, steps)
             scaled = values / float(k) ** steps
             assert np.array_equal(scaled.view(np.int64), _float_steps(g, cells, steps, k).view(np.int64))
@@ -500,7 +554,7 @@ def test_smooth_counts_fall_back_to_float64_past_2_to_the_63(rng):
     exact[cells] = 1
     for steps in range(1, 46):
         exact = sum(exact[p] for p in prod_actions)
-        values, _, _ = smooth(g, cells, steps)
+        values, _ = smooth(g, cells, steps)
         if steps < 40:
             assert values.dtype == (np.int32 if steps < 20 else np.int64)
             assert values.tolist() == exact.tolist()
