@@ -135,9 +135,9 @@ class ImprovementConfig:
     ``kappa`` is the user-supplied Kazhdan constant: it is never computed from
     the graph and only scales the reported symmetric-difference budget.
     ``alpha`` is the expansion ratio the chosen sweep set should satisfy
-    (default: a quarter of the spectral Cheeger lower bound).  The reference
-    ball (radius ``radius``) defaults to the ball of the input graph at
-    vertex 0.
+    (default: a quarter of an unproven estimate of the spectral Cheeger lower
+    bound, see ``_spectral_alpha``).  The reference ball (radius ``radius``)
+    defaults to the ball of the input graph at vertex 0.
     """
 
     kappa: float = 0.2
@@ -198,10 +198,10 @@ class ImprovementWorkspace:
 
     The good set is computed at construction.  ``alpha`` is computed on its
     first read and then cached: ``cfg.alpha`` when given, the 1e-9 floor on a
-    disconnected graph, else a quarter of the spectral Cheeger lower bound
-    from ``lambda2``.  The warning for an unconverged ``lambda2`` fires at
-    that first read, so a workspace whose alpha is never read (the cluster
-    closure on fixed points only) never runs ``lambda2``.
+    disconnected graph, else a quarter of the spectral estimate of the
+    Cheeger lower bound, from ``lambda2``.  The warning for an unconverged
+    ``lambda2`` fires at that first read, so a workspace whose alpha is never
+    read (the cluster closure on fixed points only) never runs ``lambda2``.
     """
 
     __slots__ = ("good", "_graph", "_alpha")
@@ -224,8 +224,9 @@ class ImprovementWorkspace:
 
 
 def _spectral_alpha(g: LabeledGraph) -> float:
-    """A quarter of the spectral Cheeger lower bound k (1 - lambda2) / 2, or
-    the 1e-9 floor where there is no spectral gap."""
+    """A quarter of k (1 - theta) / 2, theta the Lanczos estimate of lambda2,
+    or the 1e-9 floor where there is no spectral gap.  Not proven: in exact
+    arithmetic the Ritz value theta is <= lambda2, so this can exceed k (1 - lambda2) / 8."""
     if not is_connected(g):
         # lambda2 is exactly 1, so there is no spectral gap; its estimate
         # lands within rounding of 1 on either side

@@ -54,7 +54,7 @@ def _dump(doc: dict) -> str:
 
 def _add_improvement_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--alpha", type=float, default=None,
-                        help="target expansion ratio for the sweep set (default: spectral lower bound / 4)")
+                        help="target expansion ratio for the sweep set (default: spectral lower bound estimate / 4)")
     parser.add_argument("--radius", type=int, default=1, help="good-ball radius")
     parser.add_argument("--steps", type=int, default=10, help="smoothing steps")
     parser.add_argument("--delta", type=float, default=0.0, help="target defect fraction")

@@ -192,10 +192,9 @@ class ClusterGroup:
     table: np.ndarray
     identity_index: int
     inverse_map: np.ndarray
-    graph: LabeledGraph
     delta: float
     # improvements the algorithm consumed, whether an improve call, the pair
-    # table, the memo or an index identity of the table answered them
+    # table, the memo or an index identity of the table answered them: 2k^3 + 2k^2
     improve_requests: int
     improve_calls: int  # memo misses, i.e. distinct inputs, fixed points included
     closure_rounds: int
@@ -298,8 +297,6 @@ class _Closure:
         self.cluster: list[int] = []  # cluster of each id, -1 until placed
         self.members: list[list[int]] = []
         self.stack = np.empty((0, n), dtype=np.int64)  # first member of each cluster
-        self.requests = 0
-        self.calls = 0
         self.rounds = 0
 
     def intern(self, row: np.ndarray) -> int:
@@ -318,13 +315,11 @@ class _Closure:
     def product(self, i: int, j: int) -> int:
         """Id of the checked improvement of pool[i] . pool[j], the map
         x -> pool[i][pool[j][x]]."""
-        self.requests += 1
         p = self.pairs.item(i, j)
         if p < 0:
             key = self.pool[i][self.pool[j]].tobytes()
             p = self.memo.get(key)
             if p is None:
-                self.calls += 1
                 p = self.memo[key] = self.intern(self.improved(np.frombuffer(key, dtype=np.int64)))
             self.pairs[i, j] = p
         return p
@@ -413,7 +408,7 @@ class _Representatives:
         return table, prods
 
 
-def _check_associativity_inequality(reps: _Representatives, table: np.ndarray, prods: np.ndarray) -> int:
+def _check_associativity_inequality(reps: _Representatives, table: np.ndarray, prods: np.ndarray) -> None:
     """Verify d(a(bc), (ab)c) <= 4n/5 for every triple of representatives.
 
     a(bc) is the improvement of reps[a] . P[b, c] and (ab)c that of
@@ -422,22 +417,19 @@ def _check_associativity_inequality(reps: _Representatives, table: np.ndarray, p
     each ``a`` the others go through the closure's pair table, left inputs
     then right ones, each in row-major order, so the first failing
     improvement and the lexicographically first failing triple, which raises
-    HypothesisViolation, are those of a scan over all 2k^3 inputs.  Returns
-    the number of improvements the index identities answered.
+    HypothesisViolation, are those of a scan over all 2k^3 inputs.
     """
     closure = reps.closure
     k, n = reps.stack.shape
     ids = reps.ids.tolist()
     exact = prods == reps.ids[table]
     inexact = prods[~exact].tolist()  # P[b, c] where not exact, row-major
-    answered = 0
     for a in range(k):
         left = prods[a][table]  # a(bc) where exact[b, c]
         right = prods[table[a]]  # (ab)c where exact[a, b]
         left[~exact] = [closure.product(ids[a], p) for p in inexact]
         rights = [closure.product(p, c) for p in prods[a][~exact[a]].tolist() for c in ids]
         right[~exact[a]] = np.reshape(rights, (-1, k))
-        answered += 2 * k * k - len(inexact) - len(rights)
         dist = np.zeros((k, k), dtype=np.int64)  # equal ids are equal maps
         b, c = np.nonzero(left != right)
         left, right, pool = left[b, c], right[b, c], closure.pool
@@ -452,7 +444,6 @@ def _check_associativity_inequality(reps: _Representatives, table: np.ndarray, p
                 f"associativity inequality fails on triple {(a, b, c)} "
                 f"(distance {dist[b, c]} > 4n/5; {_thresholds(n)})"
             )
-    return answered
 
 
 def cluster_group(
@@ -488,12 +479,17 @@ def cluster_group(
     seeds of a Cayley graph.  The table and the inequality work on map ids,
     as the module docstring describes, in O(k^2 n + k^3) time when every
     product is its representative.  Warnings
-    of ``improve`` fire once per distinct input.  The result counts the
-    improvement requests, i.e. every improvement the algorithm consumes,
-    whether an ``improve`` call, the pair table, the memo or an index
-    identity answered it (the closure's products, k^2 for the table and 2k^3
-    for the inequality), the distinct inputs (memo misses, fixed points
-    included) and the closure rounds.
+    of ``improve`` fire once per distinct input.
+
+    Of the counters only ``closure_rounds`` is tallied.  The improvements
+    consumed, however answered, are 2k^3 + 2k^2 for k clusters:
+    ``_Closure.run`` asks ``product`` once per ordered pair of clusters (a
+    round asks the pairs with a cluster new in it, and a round that adds no
+    cluster ends the loop), the table asks the k^2 pairs of representatives,
+    and the inequality consumes 2k^2 per representative, from the index
+    identities or ``product``.  A memo miss stores its improvement or raises
+    out of this function, so the distinct inputs (fixed points included)
+    number ``len(closure.memo)``.
     """
     seeds = list(seed_maps)
     if not seeds:
@@ -529,18 +525,16 @@ def cluster_group(
     for a in range(k):
         if not np.array_equal(table[table[a]], table[a][table]):
             raise HypothesisViolation("cluster multiplication table is not associative")
-    answered = _check_associativity_inequality(reps, table, prods)
-    closure.requests += answered  # read after the call, which counts requests too
+    _check_associativity_inequality(reps, table, prods)
     seed_clusters = [reps.locate(i) for i in seed_ids]
     return ClusterGroup(
         clusters,
         table,
         identity_index,
         inverse_map,
-        g,
         delta,
-        improve_requests=closure.requests,
-        improve_calls=closure.calls,
+        improve_requests=2 * k**3 + 2 * k**2,
+        improve_calls=len(closure.memo),
         closure_rounds=closure.rounds,
         seed_clusters=seed_clusters,
     )

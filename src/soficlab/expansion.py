@@ -350,6 +350,8 @@ def lambda2(g: LabeledGraph, tol: float = 1e-10, max_iter: int = 10000, seed: in
     Ritz vector is rebuilt by running the same recurrence a second time and
     summing its vectors with the weights of T's top eigenvector.
     """
+    if not (0 < tol < math.inf and max_iter >= 1):  # a NaN tol fails too
+        raise ValueError(f"need a positive finite tol and max_iter >= 1, got tol={tol}, max_iter={max_iter}")
     n = g.n
     if len(g.gens) == 0:
         raise ValueError("graph has no generators")
@@ -563,6 +565,8 @@ def sweep_cut(g: LabeledGraph, vec) -> tuple[VertexSet, float]:
     vec = np.asarray(vec, dtype=np.float64)
     if vec.shape != (g.n,):
         raise LengthMismatch(f"vector has length {vec.size}, graph has {g.n} vertices")
+    if g.n < 2:
+        raise ValueError("sweep cut needs at least 2 vertices")
     if np.all(vec == vec[0]):
         raise DegenerateVector("sweep vector is constant")
     half = g.n // 2

@@ -14,6 +14,10 @@ import pytest
 from soficlab import GeneratorSet, LabeledGraph, make_labeled_graph
 from soficlab.core_graph import is_simple
 
+# a loop of order 5: a latin square with identity 0 in which every element is
+# its own inverse, but (1.2).4 = 1 and 1.(2.4) = 4, so it is no group
+NON_ASSOCIATIVE_LOOP = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+
 
 def cycle_graph(n: int, names=("a", "A")) -> LabeledGraph:
     """Cay(Z_n, {1, -1}) for n >= 3, built from its two rotations without a table."""

@@ -64,6 +64,27 @@ def test_cheeger_interval_above_limit(tmp_path):
     assert doc["lower"] <= doc["upper"]
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--tol", "nan"], "tol=nan, max_iter=10000"),
+        (["--tol", "-1"], "tol=-1.0, max_iter=10000"),
+        (["--tol", "0"], "tol=0.0, max_iter=10000"),
+        (["--tol", "inf"], "tol=inf, max_iter=10000"),
+        (["--max-iter", "0"], "tol=1e-10, max_iter=0"),
+        (["--max-iter", "-3"], "tol=1e-10, max_iter=-3"),
+    ],
+)
+def test_cheeger_rejects_invalid_lanczos_stopping_flags(tmp_path, capsys, flags, message):
+    message = f"need a positive finite tol and max_iter >= 1, got {message}"
+    g = tmp_path / "g.json"
+    assert run(["gen", "random", "--n", "200", "--pairs", "2", "--seed", "1", "-o", str(g)]) == 0
+    capsys.readouterr()
+    assert run(["cheeger", str(g), *flags, "-o", str(tmp_path / "out.json")]) == 1
+    assert json.loads(capsys.readouterr().out) == {"error": {"type": "ValueError", "message": message}}
+    assert not list(tmp_path.glob("out*"))
+
+
 @pytest.mark.parametrize("d", range(5, 11))
 def test_cheeger_interval_is_certified_on_hypercubes(tmp_path, d):
     # Cay(Z2^d) is the d-cube Q_d, where h = 1 = d (1 - lambda2) / 2 exactly

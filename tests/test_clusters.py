@@ -46,7 +46,7 @@ from soficlab.errors import (
 from soficlab.sofic import Word, random_permutation_model, word_action
 from soficlab import groups
 
-from conftest import cycle_graph, two_cycles
+from conftest import NON_ASSOCIATIVE_LOOP, cycle_graph, two_cycles
 
 
 def hamming(c1, c2):
@@ -232,14 +232,21 @@ def test_closure_does_not_cache_failed_improvements():
     g = cycle_graph(20)
     c = np.roll(np.arange(20), -3)
     c[:6] = c[:6][::-1]
-    closure = _Closure(20, _checked_improvement(g, 0.0, ImprovementConfig()), bound=10)
+    checked = _checked_improvement(g, 0.0, ImprovementConfig())
+    inputs = []
+
+    def improved(row):
+        inputs.append(row.tobytes())
+        return checked(row)
+
+    closure = _Closure(20, improved, bound=10)
     a, b = closure.intern(c), closure.intern(np.arange(20))
     for _ in range(2):
         with pytest.raises(HypothesisViolation, match="moved a composition"):
             closure.product(a, b)
     assert closure.memo == {}
     assert closure.pairs[a, b] == -1
-    assert (closure.requests, closure.calls) == (2, 2)
+    assert inputs == [c.tobytes()] * 2  # asked again: the failure was not stored
 
 
 def test_closure_pair_table_survives_growth():
@@ -255,7 +262,7 @@ def test_closure_pair_table_survives_growth():
         closure.intern(rng.permutation(10))
     assert len(closure.pool) > size and closure.pairs.shape == (len(closure.pool),) * 2
     assert closure.product(a, b) == p
-    assert (closure.requests, closure.calls) == (2, 1)
+    assert len(closure.memo) == 1
 
 
 def test_closure_bound_raises_closure_failure():
@@ -263,6 +270,57 @@ def test_closure_bound_raises_closure_failure():
     g = cayley_graph(table, gens)
     with pytest.raises(ClosureFailure, match="closure exceeded 2 clusters"):
         cluster_group(g, 0.0, label_automorphisms(g), ImprovementConfig(), closure_bound=2)
+
+
+def _stubbed_cluster_group(monkeypatch, g, seeds, overrides):
+    """``cluster_group`` with ``_improvement(overrides)`` as its checked improvement."""
+    monkeypatch.setattr(clusters, "_checked_improvement", lambda g, delta, cfg: _improvement(overrides))
+    return cluster_group(g, 1.0, seeds, ImprovementConfig())
+
+
+def test_cluster_group_refuses_an_identity_that_does_not_act_as_one(monkeypatch):
+    # Z2 on 10 points: the inputs r.e and e.r are both r, which improves to e
+    g = cycle_graph(10)
+    e, r = np.arange(10), np.roll(np.arange(10), -5)
+    with pytest.raises(HypothesisViolation, match="^identity cluster does not act as the identity$"):
+        _stubbed_cluster_group(monkeypatch, g, [VertexMap(e), VertexMap(r)], {r.tobytes(): e})
+
+
+def test_cluster_group_refuses_inverses_inconsistent_with_the_table(monkeypatch):
+    # Z2 on 10 points with r.r read as r: the identity's row and column hold,
+    # but r, its own inverse, does not multiply with it to the identity
+    products = _Representatives.products
+
+    def skewed(self):
+        table, prods = products(self)
+        table[1, 1] = 1
+        return table, prods
+
+    monkeypatch.setattr(_Representatives, "products", skewed)
+    g = cycle_graph(10)
+    seeds = [VertexMap(np.arange(10)), VertexMap(np.roll(np.arange(10), -5))]
+    with pytest.raises(HypothesisViolation, match="^inverse map is inconsistent with the table$"):
+        cluster_group(g, 0.0, seeds, ImprovementConfig())
+
+
+def test_cluster_group_refuses_a_non_associative_table(monkeypatch):
+    # five pairwise far involutions whose product inputs improve along the
+    # non-associative loop; each is its own inverse, as in the loop, so only
+    # associativity fails
+    loop = NON_ASSOCIATIVE_LOOP
+    n = 20
+    rng = np.random.default_rng(0)
+    reps = [np.arange(n)]
+    for _ in range(4):
+        p = rng.permutation(n)
+        r = np.empty(n, dtype=np.int64)
+        r[p[::2]], r[p[1::2]] = p[1::2], p[::2]
+        reps.append(r)
+    assert all(5 * np.count_nonzero(reps[i] != reps[j]) > 4 * n for i in range(5) for j in range(i))
+    overrides = {reps[i][reps[j]].tobytes(): reps[loop[i][j]] for i in range(1, 5) for j in range(1, 5) if i != j}
+    assert len(overrides) == 12 and not overrides.keys() & {r.tobytes() for r in reps}
+    with pytest.raises(HypothesisViolation, match="^cluster multiplication table is not associative$"):
+        _stubbed_cluster_group(monkeypatch, cycle_graph(n), [VertexMap(r) for r in reps], overrides)
 
 
 def _improvement(overrides):
@@ -285,15 +343,28 @@ def _representatives(stack, improved):
     return closure, _Representatives(closure, [closure.intern(row) for row in stack])
 
 
+def _counted(closure):
+    """Count the ``product`` calls of ``closure`` from now on."""
+    counts = [0]
+    product = closure.product
+
+    def counting_product(i, j):
+        counts[0] += 1
+        return product(i, j)
+
+    closure.product = counting_product
+    return counts
+
+
 def _index_path(stack, improved):
     """Table build and associativity inequality as ``cluster_group`` runs them;
-    returns the table, the inequality's requests to the closure and the
-    improvements its index identities answered."""
+    returns the table and the inequality's ``product`` calls, i.e. the
+    requests that the index identities did not answer."""
     closure, reps = _representatives(stack, improved)
     table, prods = reps.products()
-    before = closure.requests
-    answered = _check_associativity_inequality(reps, table, prods)
-    return table, closure.requests - before, answered
+    sent = _counted(closure)
+    _check_associativity_inequality(reps, table, prods)
+    return table, sent[0]
 
 
 def _z2_on_ten_points():
@@ -306,9 +377,9 @@ def _z2_on_ten_points():
 
 def test_associativity_inequality_passes_on_exact_products():
     reps, _ = _z2_on_ten_points()
-    table, sent, answered = _index_path(reps, _improvement({}))
+    table, sent = _index_path(reps, _improvement({}))
     assert table.tolist() == [[0, 1], [1, 0]]
-    assert (sent, answered) == (0, 2 * 2**3)  # all answered by index identities
+    assert sent == 0  # all 2k^3 answered by index identities
 
 
 def test_associativity_inequality_names_the_first_failing_triple():
@@ -446,7 +517,12 @@ def test_index_path_matches_the_byte_path(data):
         assert index == reference
     else:
         assert index[0] == "ok" and np.array_equal(index[1][0], ref_table)
-        assert index[1][1] + index[1][2] == sum(requests) == 2 * k**3
+        assert sum(requests) == 2 * k**3
+        # a pair (b, c) is inexact when P[b, c] is not its representative; the
+        # inequality sends a.P[b, c] for every a and P[b, c].a for every a,
+        # 2k inputs per inexact pair, and the index identities answer the rest
+        inexact = sum(not np.array_equal(products[b, c], stack[ref_table[b, c]]) for b in range(k) for c in range(k))
+        assert index[1][1] == 2 * k * inexact
 
 
 def test_representatives_closer_than_4n_over_5_are_refused():
@@ -507,6 +583,54 @@ def test_cluster_group_improves_each_distinct_input_once(monkeypatch):
         "improve_calls": 611,
         "closure_rounds": 2,
     }
+
+
+def _product_calls_per_phase(monkeypatch) -> Counter:
+    """Count the ``_Closure.product`` calls that the closure run, the table
+    build and the associativity inequality make."""
+    calls = Counter()
+    phase = [None]
+
+    def in_phase(name, fn):
+        def wrapped(*args):
+            phase[0] = name
+            try:
+                return fn(*args)
+            finally:
+                phase[0] = None
+
+        return wrapped
+
+    product = _Closure.product
+
+    def counting_product(self, i, j):
+        calls[phase[0]] += 1
+        return product(self, i, j)
+
+    monkeypatch.setattr(_Closure, "product", counting_product)
+    monkeypatch.setattr(_Closure, "run", in_phase("run", _Closure.run))
+    monkeypatch.setattr(_Representatives, "products", in_phase("table", _Representatives.products))
+    monkeypatch.setattr(
+        clusters, "_check_associativity_inequality", in_phase("inequality", _check_associativity_inequality)
+    )
+    return calls
+
+
+def test_each_ordered_pair_of_clusters_is_asked_once_per_phase(monkeypatch):
+    # improve_requests is computed as 2k^3 + 2k^2: the closure and the table
+    # each ask the k^2 ordered pairs once, and the inequality asks product
+    # only for what the index identities leave, at most 2k^3
+    table, gens = groups.preset_group("s4")
+    g = cayley_graph(table, gens)
+    calls = _product_calls_per_phase(monkeypatch)
+    cg = cluster_group(g, 0.0, label_automorphisms(g), ImprovementConfig())
+    assert cg.order == 24
+    assert dict(calls) == {"run": 576, "table": 576}  # exact products: the inequality sends none
+    calls.clear()
+    cg = cluster_group(g, 0.5, _corrupted_s4_seeds(g), ImprovementConfig())
+    assert cg.order == 24
+    assert dict(calls) == {"run": 576, "table": 576, "inequality": 9_216}
+    assert cg.improve_requests == 28_800
 
 
 def test_closure_improves_inputs_when_not_every_vertex_is_good(monkeypatch):
@@ -668,7 +792,7 @@ def test_cluster_group_s5_within_budget():
     assert (order, abelian) == (120, False)
     assert Counter(element_orders) == {1: 1, 2: 25, 3: 20, 4: 30, 5: 24, 6: 20}
     assert cg.improve_calls == 120
-    assert cg.improve_requests == 3_484_800  # 2k^3 + 2k^2 + the closure's k^2
+    assert cg.improve_requests == 3_484_800  # 2k^3 + 2k^2, the closure's k^2 among the 2k^2
     assert elapsed < 3.0, f"Cay(S5) cluster group took {elapsed:.1f}s"
 
 
@@ -804,13 +928,6 @@ def test_lef_certificate_collision_on_trivial_action():
 
 
 def test_lef_certificate_rejects_large_defect():
-    g = cayley_graph(groups.cyclic_table(12), [1, 11, 6])
-    gamma = ["g1", "g11"]
-    # g6 is a gamma-almost-automorphism candidate that badly violates the
-    # 1-step edges? no: translations commute on an abelian group, so corrupt
-    # instead: use a non-commuting free model
-    from soficlab.sofic import random_permutation_model
-
     h = random_permutation_model(40, 2, seed=8)
     with pytest.raises(DefectTooLarge):
         lef_certificate(h, ["s0", "s0'"], [Word((), True), Word(("s1",), True)], 0.01, ImprovementConfig())

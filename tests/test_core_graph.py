@@ -40,7 +40,7 @@ from soficlab.errors import (
 from soficlab import groups
 from soficlab.sofic import random_permutation_model
 
-from conftest import conjugate_graph, cycle_graph, random_simple_graph, two_cycles
+from conftest import NON_ASSOCIATIVE_LOOP, conjugate_graph, cycle_graph, random_simple_graph, two_cycles
 
 
 def test_make_cycle_graph():
@@ -155,6 +155,24 @@ def test_cayley_rejects_bad_inputs():
         cayley_graph(groups.cyclic_table(4), [1])
     with pytest.raises(InvalidTable):
         cayley_graph([[0, 1], [0, 1]], [0])
+
+
+@pytest.mark.parametrize(
+    "table, message",
+    [
+        ([[0, 1], [1, 2]], "table entries out of range"),
+        ([[(i - j) % 3 for j in range(3)] for i in range(3)], "table has no two-sided identity"),
+        (  # 2.3 = 0 but 3.2 = 1, and 3 and 4 fare no better
+            [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 3, 4, 0, 1], [3, 4, 1, 2, 0], [4, 2, 0, 1, 3]],
+            "table has an element without a two-sided inverse",
+        ),
+        (NON_ASSOCIATIVE_LOOP, "table is not associative"),
+    ],
+    ids=["out-of-range", "no-identity", "no-inverse", "not-associative"],
+)
+def test_cayley_rejects_tables_that_are_no_group(table, message):
+    with pytest.raises(InvalidTable, match=f"^{message}$"):
+        cayley_graph(table, [1])
 
 
 def test_product_c2_c2():

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 import time
 import tracemalloc
 from fractions import Fraction
@@ -188,6 +189,29 @@ def test_lambda2_converged_is_a_python_bool():
     assert lambda2(g, max_iter=5).iterations == 5
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"tol": math.nan}, "tol=nan, max_iter=10000"),
+        ({"tol": -1.0}, "tol=-1.0, max_iter=10000"),
+        ({"tol": 0.0}, "tol=0.0, max_iter=10000"),
+        ({"tol": math.inf}, "tol=inf, max_iter=10000"),
+        ({"max_iter": 0}, "tol=1e-10, max_iter=0"),
+        ({"max_iter": -3}, "tol=1e-10, max_iter=-3"),
+    ],
+)
+def test_lambda2_rejects_invalid_stopping_parameters(kwargs, message):
+    # a NaN or non-positive tol never stops the run before the Krylov space is
+    # exhausted, an infinite one stops it at the first check, and max_iter < 1
+    # still ran one step; each was reported as a result
+    message = f"^need a positive finite tol and max_iter >= 1, got {re.escape(message)}$"
+    g = random_permutation_model(200, 2, seed=1)
+    with pytest.raises(ValueError, match=message):
+        lambda2(g, **kwargs)
+    with pytest.raises(ValueError, match=message):
+        lambda2(make_labeled_graph(1, GeneratorSet.from_pairs([("a", "A")]), [[0], [0]]), **kwargs)
+
+
 def test_tridiagonal_top_eigenpair_matches_eigh(rng):
     for m in (1, 2, 5, 40, 200):
         a = rng.uniform(-1, 1, m).tolist()
@@ -315,6 +339,14 @@ def test_sweep_cut_component_indicator():
 def test_sweep_cut_degenerate():
     with pytest.raises(DegenerateVector):
         sweep_cut(cycle_graph(6), np.ones(6))
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_sweep_cut_needs_two_vertices(n):
+    # no prefix of size <= n/2 exists
+    g = make_labeled_graph(n, GeneratorSet.from_pairs([("a", "A")]), [np.arange(n), np.arange(n)])
+    with pytest.raises(ValueError, match="sweep cut needs at least 2 vertices"):
+        sweep_cut(g, np.zeros(n))
 
 
 def test_sweep_cut_invariants(rng):

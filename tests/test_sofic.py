@@ -19,7 +19,7 @@ from soficlab.sofic import (
 )
 from soficlab import groups, sofic
 
-from conftest import conjugate_graph, cycle_graph, random_simple_graph
+from conftest import conjugate_graph, cycle_graph
 
 
 def cayley_relation_words(table, g, max_len):
