@@ -38,9 +38,6 @@ from .errors import InvalidMapFile, LengthMismatch, NotBijective
 from .expansion import descending_order, lambda2, prefix_boundary_counts, smooth, smoothing_gap
 
 REPAIR_RESCORING_LIMIT = 512
-# improve() sweeps the full order at once when the first certified prefix,
-# 2 * |T| + 1 cells, is more than this share of the n^2 cells
-_FULL_SWEEP_SHARE = 16
 
 
 class VertexMap:
@@ -241,35 +238,25 @@ def _spectral_alpha(g: LabeledGraph) -> float:
     return lower / 4.0 if lower > 0 else 1e-9  # the floor: no spectral gap
 
 
-def _greedy_fill(g: LabeledGraph, w_col: np.ndarray, missing_rows: np.ndarray, missing_cols: np.ndarray) -> int:
-    """Complete a partial permutation, preferring pairs whose product-graph
-    neighbors already sit in the kept set (smallest added boundary).
-    Deterministic: highest score first, ties by smallest (row, col)."""
-    k = len(g.gens)
+def _greedy_fill(g: LabeledGraph, w_col: np.ndarray, missing_rows: np.ndarray, missing_cols: np.ndarray) -> None:
+    """Complete a partial permutation, one pair per missing row, preferring
+    pairs whose product-graph neighbors already sit in the kept set (smallest
+    added boundary).  Up to ``REPAIR_RESCORING_LIMIT`` missing rows, every
+    step scores all (row, col) pairs left; above it, only the first row left
+    is scored and filled, in ascending row order.  Deterministic: highest
+    score first, ties by smallest (row, col)."""
     rows = list(missing_rows)
     cols = list(missing_cols)
-    added = 0
-    full_rescoring = len(rows) <= REPAIR_RESCORING_LIMIT
+    scored_rows = len(rows) if len(rows) <= REPAIR_RESCORING_LIMIT else 1
     while rows:
-        ra = np.asarray(rows, dtype=np.int64)
+        ra = np.asarray(rows[:scored_rows], dtype=np.int64)
         ca = np.asarray(cols, dtype=np.int64)
-        if full_rescoring:
-            score = np.zeros((ra.size, ca.size), dtype=np.int64)
-            for i in range(k):
-                p = g.actions[i]
-                score += w_col[p[ra]][:, None] == p[ca][None, :]
-            xi, yi = np.unravel_index(int(np.argmax(score)), score.shape)
-        else:
-            xi = 0
-            score_row = np.zeros(ca.size, dtype=np.int64)
-            for i in range(k):
-                p = g.actions[i]
-                score_row += w_col[p[ra[0]]] == p[ca]
-            yi = int(np.argmax(score_row))
+        score = np.zeros((ra.size, ca.size), dtype=np.int64)
+        for p in g.actions:
+            score += w_col[p[ra]][:, None] == p[ca][None, :]
+        xi, yi = np.unravel_index(int(np.argmax(score)), score.shape)
         x, y = rows.pop(int(xi)), cols.pop(int(yi))
         w_col[x] = y
-        added += 1
-    return added
 
 
 def improve(
@@ -301,9 +288,8 @@ def improve(
     prefix with d = dmin is known, K >= |T| + dmin proves that no later
     prefix competes; a larger dmin grows K to |T| + dmin.  Without a
     feasible prefix, K becomes all n^2 cells at once (the fallback pick
-    needs them); ``trace.sweep_cells`` is the final K.  Inputs where
-    2 |T| + 1 is a large share of n^2 sweep all cells at once.  The result
-    is the same as a sweep over the full order.
+    needs them); ``trace.sweep_cells`` is the final K.  The result is the
+    same as a sweep over the full order.
 
     Never returns a map with more bad edges than the input: a worse candidate
     is discarded and ``c`` comes back unchanged with ``trace.reverted`` set.
@@ -334,9 +320,7 @@ def improve(
     smoothed, smoothed_cells = smooth(g, t_cells, cfg.smoothing_steps)
 
     # top-K sweep, K certified as in the docstring: delta_t[j] >= j - t_size
-    k = 2 * t_size + 1
-    if _FULL_SWEEP_SHARE * k >= big_n:
-        k = big_n
+    k = min(2 * t_size + 1, big_n)
     while True:
         order = descending_order(smoothed, k)
         counts = prefix_boundary_counts(g, order, (n, n))  # prefix sizes 1..min(k, big_n-1)
@@ -348,13 +332,12 @@ def improve(
         alpha_feasible = bool(feasible.any())
         if alpha_feasible:
             dmin = int(delta_t[feasible].min())
-            if k >= min(t_size + dmin, big_n):
-                break
-            k = min(t_size + dmin, big_n)
-        elif k == big_n:
-            break
+            want = min(t_size + dmin, big_n)
         else:
-            k = big_n  # the fallback pick ranks every prefix
+            want = big_n  # the fallback pick ranks every prefix
+        if k >= want:
+            break
+        k = want
     # the n^2 counts are dead: free them before the repair allocates the
     # result, which outlives this call and so must not split their space
     del smoothed
@@ -383,7 +366,8 @@ def improve(
     used_cols[cols[keep]] = True
     missing_rows = np.flatnonzero(w_col < 0)
     missing_cols = np.flatnonzero(~used_cols)
-    pairs_added = _greedy_fill(g, w_col, missing_rows, missing_cols)
+    _greedy_fill(g, w_col, missing_rows, missing_cols)
+    pairs_added = int(missing_rows.size)
 
     candidate = VertexMap(w_col)
     cand_report = defect_of_map(g, candidate)

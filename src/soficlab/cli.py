@@ -160,10 +160,14 @@ def _cmd_gen(args) -> tuple[list[tuple[Path, str]], dict]:
             table, default_gens = parse_table(args.table.read_text())
         if args.gens:
             gen_indices = [int(tok) for tok in args.gens.split(",") if tok.strip() != ""]
+            if not gen_indices:
+                raise SoficlabError("--gens lists no element")
         else:
             gen_indices = list(default_gens)
-        if not gen_indices:
-            raise SoficlabError("no generators given and the preset has no default")
+            if not gen_indices and args.group is not None:
+                raise SoficlabError(f"the preset {args.group} has no default generators: pass --gens")
+            if not gen_indices:
+                raise SoficlabError("the table file lists no generators: pass --gens")
         g = cayley_graph(table, gen_indices)
     else:
         g = random_permutation_model(args.n, args.pairs, args.seed)

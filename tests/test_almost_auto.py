@@ -12,7 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from soficlab import almost_auto, expansion
-from soficlab import GeneratorSet, boundary, cayley_graph, is_simple, make_labeled_graph, product_graph, rooted_ball
+from soficlab import (
+    GeneratorSet, VertexSet, boundary, cayley_graph, is_simple, make_labeled_graph, product_graph, rooted_ball,
+)
 from soficlab.almost_auto import (
     ImprovementConfig,
     ImprovementWorkspace,
@@ -26,7 +28,7 @@ from soficlab.almost_auto import (
     label_automorphisms,
     parse_map_text,
 )
-from soficlab.errors import InvalidMapFile, NotBijective, SoficlabError
+from soficlab.errors import InvalidMapFile, LengthMismatch, NotBijective, SoficlabError
 from soficlab.core_graph import ball_images, is_connected, restrict_labels, subset_of_generators
 from soficlab.expansion import cheeger_exact
 from soficlab.sofic import random_permutation_model
@@ -159,6 +161,35 @@ def test_improve_requires_bijection():
     g = cycle_graph(6)
     with pytest.raises(NotBijective):
         improve(g, VertexMap([0, 0, 1, 2, 3, 4]), ImprovementConfig())
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda g: improve(g, VertexMap.identity(4), ImprovementConfig()), LengthMismatch, "map on 4 vertices, graph has 5"),
+        (lambda g: defect_of_map(g, VertexMap.identity(4)), LengthMismatch, "map on 4 vertices, graph has 5"),
+        (lambda g: graph_of_map(g, VertexMap.identity(4)), LengthMismatch, "map on 4 vertices, graph has 5"),
+        (lambda g: make_labeled_graph(g.n, g.gens, g.actions[:1]), LengthMismatch, "expected 2 permutations, got 1"),
+        (lambda g: make_labeled_graph(g.n, g.gens, g.actions[:, :4]), LengthMismatch, "'a' has length 4, expected 5"),
+        (lambda g: boundary(g, VertexSet(np.zeros(4, dtype=bool))), LengthMismatch, "vertex set over 4 vertices, graph has 5"),
+        (lambda g: expansion.sweep_cut(g, np.zeros(4)), LengthMismatch, "vector has length 4, graph has 5 vertices"),
+        (lambda g: VertexMap([5]), ValueError, "images out of range"),
+        (lambda g: ImprovementConfig(kappa=0.0), ValueError, "kappa must lie in (0, 1]"),
+        (lambda g: ImprovementConfig(radius=-1), ValueError, "radius must be >= 0"),
+        (lambda g: ImprovementConfig(smoothing_steps=0), ValueError, "smoothing_steps must be >= 1"),
+        (lambda g: rooted_ball(g, 0, -1), ValueError, "radius must be >= 0"),
+        (lambda g: rooted_ball(g, 5, 1), ValueError, "root 5 out of range"),
+        (lambda g: expansion.smooth(g, np.array([0]), 0), ValueError, "steps must be >= 1"),
+    ],
+    ids=[
+        "improve-map-length", "defect-map-length", "graph-of-map-length", "permutation-count",
+        "permutation-length", "boundary-set-size", "sweep-vector-length", "images-out-of-range",
+        "kappa-0", "config-radius", "smoothing-steps-0", "ball-radius", "ball-root", "smooth-steps-0",
+    ],
+)
+def test_argument_checks_raise_a_named_error(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call(cycle_graph(5))
 
 
 def test_improve_recovers_corrupted_translation_c12():
@@ -613,7 +644,6 @@ def test_improve_reports_sweep_cells(monkeypatch):
         return expansion.descending_order(vec, limit)
 
     monkeypatch.setattr(almost_auto, "descending_order", recording_order)
-    monkeypatch.setattr(almost_auto, "_FULL_SWEEP_SHARE", 0)
     g, cfg, maps = improve_corpus()[-2]
     _, trace = improve(g, VertexMap(maps[-1]), cfg)
     assert not trace.alpha_feasible
@@ -772,12 +802,13 @@ def test_certified_sweep_equals_the_full_sweep(monkeypatch, seed):
     g = random_connected_graph(rng, int(rng.integers(8, 40)))
     cfg = ImprovementConfig(alpha=2.0, radius=int(rng.integers(0, 3)), smoothing_steps=int(rng.integers(1, 6)))
     c = VertexMap(rng.permutation(g.n))
-    results = {}
-    for share in (0, math.inf):  # always start at 2 |T| + 1, always sweep all n^2 cells
-        monkeypatch.setattr(almost_auto, "_FULL_SWEEP_SHARE", share)
-        improved, trace = improve(g, c, cfg)
-        doc = trace.as_dict()
-        results[share] = (improved, doc.pop("sweep_cells"), doc)
-    assert results[0][0] == results[math.inf][0]
-    assert results[0][2] == results[math.inf][2]
-    assert 2 * results[0][2]["t_size"] + 1 < results[0][1] <= g.n * g.n == results[math.inf][1]
+    improved, trace = improve(g, c, cfg)
+    # the reference sweeps the full order of all n^2 cells
+    monkeypatch.setattr(almost_auto, "descending_order", lambda vec, limit=None: expansion.descending_order(vec))
+    full_improved, full_trace = improve(g, c, cfg)
+    doc, full_doc = trace.as_dict(), full_trace.as_dict()
+    sweep_cells = doc.pop("sweep_cells")
+    full_doc.pop("sweep_cells")
+    assert improved == full_improved
+    assert doc == full_doc
+    assert 2 * trace.t_size + 1 < sweep_cells <= g.n * g.n

@@ -249,6 +249,12 @@ def test_missing_input_is_a_domain_error(tmp_path, capsys):
         '{"format_version": 1, "n": 3, "generators": 5}',
         '{"format_version": 1, "n": 2, "generators": [{"name": "a", "perm": [1, 0]}]}',
         "not json",
+        # a -> b, b -> c, c -> b: the inverse pairing is not an involution
+        '{"format_version": 1, "n": 2, "generators": [{"name": "a", "inverse": "b", "perm": [0, 1]},'
+        ' {"name": "b", "inverse": "c", "perm": [0, 1]}, {"name": "c", "inverse": "b", "perm": [0, 1]}]}',
+        # duplicate generator names
+        '{"format_version": 1, "n": 2, "generators": [{"name": "a", "inverse": "a", "perm": [1, 0]},'
+        ' {"name": "a", "inverse": "a", "perm": [0, 1]}]}',
     ],
 )
 def test_malformed_graph_file_is_a_domain_error(tmp_path, capsys, text):
@@ -297,7 +303,16 @@ def test_empty_seed_or_word_list_names_its_cause(tmp_path, capsys):
     s3 = tmp_path / "s3.json"
     run(["gen", "cayley", "--group", "s3", "-o", str(s3)])
     capsys.readouterr()
+    table = tmp_path / "t.json"
+    table.write_text(json.dumps({"table": [[0, 1], [1, 0]]}))
+    out = tmp_path / "never.json"
+    one_source = "gen cayley needs exactly one of --group / --table"
     runs = [
+        (["gen", "cayley", "--group", "s3", "--table", table, "-o", out], one_source),
+        (["gen", "cayley", "-o", out], one_source),
+        (["gen", "cayley", "--group", "s3", "--gens", ",", "-o", out], "--gens lists no element"),
+        (["gen", "cayley", "--table", table, "-o", out], "the table file lists no generators: pass --gens"),
+        (["gen", "cayley", "--group", "z1", "-o", out], "the preset z1 has no default generators: pass --gens"),
         (["cluster-group", empty, "--auto"], "--auto found no automorphism: the graph has n=0 vertices"),
         (["cluster-group", s3], "no seed maps: pass --map or --auto"),
         (["sofic", bare], "no reduced words: the graph has no generators"),
@@ -306,6 +321,7 @@ def test_empty_seed_or_word_list_names_its_cause(tmp_path, capsys):
     for argv, message in runs:
         assert run([str(a) for a in argv]) == 1, argv
         assert json.loads(capsys.readouterr().out)["error"]["message"] == message
+    assert not out.exists()
 
 
 def test_improving_on_a_graph_without_generators_is_a_domain_error(tmp_path, capsys):
@@ -338,6 +354,7 @@ def test_lef_check_without_gamma_labels_is_a_domain_error(tmp_path, capsys):
         ('{"table": [[0]], "generators": "x"}', None),
         ('{"table": [[0, 1], [1, 0]], "generators": [5]}', None),
         (None, "9"),
+        ("not json", None),
     ],
 )
 def test_malformed_table_input_is_a_domain_error(tmp_path, capsys, table_doc, gens):
