@@ -228,7 +228,7 @@ def _spectral_alpha(g: LabeledGraph) -> float:
         # lambda2 is exactly 1, so there is no spectral gap; its estimate
         # lands within rounding of 1 on either side
         return 1e-9
-    sd = lambda2(g, tol=1e-10, max_iter=10000, seed=0)
+    sd = lambda2(g)
     if not sd.converged:
         warnings.warn(
             f"lambda2 did not converge in {sd.iterations} Lanczos steps; "

@@ -5,6 +5,12 @@ writes them in one pass and drops a run manifest next to the primary output.
 Re-running the argv recorded in a manifest reproduces the artifacts byte for
 byte; only the manifest's wall time differs.
 
+Output rule: a subcommand's JSON document goes to ``-o`` when given, else to
+stdout.  Two exceptions: ``gen`` writes its graph file to ``-o`` and prints
+nothing; ``improve -o`` writes the improved map there and its trace document
+to ``--trace`` (default ``<output>.trace.json``), and without ``-o`` prints
+the trace and writes no file, even with ``--trace``.
+
 Only two subcommands take ``--seed``: ``gen random`` (the seed of the random
 permutation model) and ``cheeger`` (the seed of the Lanczos start vector).
 Every other subcommand is deterministic without one.
@@ -52,12 +58,15 @@ def _dump(doc: dict) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _add_improvement_flags(parser: argparse.ArgumentParser):
+def _add_improvement_flags(
+    parser: argparse.ArgumentParser,
+    delta_help: str = "delta of the hypotheses: seeds and improvements have at most delta * n bad edges",
+):
     parser.add_argument("--alpha", type=float, default=None,
                         help="target expansion ratio for the sweep set (default: spectral lower bound estimate / 4)")
-    parser.add_argument("--radius", type=int, default=1, help="good-ball radius")
-    parser.add_argument("--steps", type=int, default=10, help="smoothing steps")
-    parser.add_argument("--delta", type=float, default=0.0, help="target defect fraction")
+    parser.add_argument("--radius", type=int, default=ImprovementConfig.radius, help="good-ball radius")
+    parser.add_argument("--steps", type=int, default=ImprovementConfig.smoothing_steps, help="smoothing steps")
+    parser.add_argument("--delta", type=float, default=0.0, help=delta_help)
     parser.add_argument("--reference", type=Path, default=None,
                         help="graph file providing the reference ball (rooted at vertex 0); default: the input graph")
 
@@ -103,9 +112,9 @@ def build_parser() -> argparse.ArgumentParser:
     im.add_argument("--map", type=Path, required=True, help="map file: one image per line")
     im.add_argument("-o", "--output", type=Path, help="improved map file")
     im.add_argument("--trace", type=Path, help="trace document (default: <output>.trace.json)")
-    im.add_argument("--kappa", type=float, default=0.2,
+    im.add_argument("--kappa", type=float, default=ImprovementConfig.kappa,
                     help="Kazhdan constant (user supplied); scales the trace's symmetric_difference_budget")
-    _add_improvement_flags(im)
+    _add_improvement_flags(im, "target defect fraction: the trace's target_met says if <= delta * n bad edges are left")
 
     cg = sub.add_parser("cluster-group", help="finite group of clusters of almost automorphisms")
     cg.add_argument("graph", type=Path)
@@ -150,7 +159,14 @@ def _improvement_config(args, **fields) -> ImprovementConfig:
     )
 
 
-def _cmd_gen(args) -> tuple[list[tuple[Path, str]], dict]:
+def _element_index(token: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise SoficlabError(f"--gens lists {token.strip()!r}, not an element index") from None
+
+
+def _cmd_gen(args) -> tuple[None, list[tuple[Path, str]]]:
     if args.generator == "cayley":
         if (args.group is None) == (args.table is None):
             raise SoficlabError("gen cayley needs exactly one of --group / --table")
@@ -159,7 +175,7 @@ def _cmd_gen(args) -> tuple[list[tuple[Path, str]], dict]:
         else:
             table, default_gens = parse_table(args.table.read_text())
         if args.gens:
-            gen_indices = [int(tok) for tok in args.gens.split(",") if tok.strip() != ""]
+            gen_indices = [_element_index(tok) for tok in args.gens.split(",") if tok.strip() != ""]
             if not gen_indices:
                 raise SoficlabError("--gens lists no element")
         else:
@@ -171,13 +187,10 @@ def _cmd_gen(args) -> tuple[list[tuple[Path, str]], dict]:
         g = cayley_graph(table, gen_indices)
     else:
         g = random_permutation_model(args.n, args.pairs, args.seed)
-    text = serialize_graph(g)
-    count, _ = connected_components(g)
-    doc = {"n": g.n, "symbols": list(g.gens.symbols), "connected": count <= 1, "output": str(args.output)}
-    return [(args.output, text)], doc
+    return None, [(args.output, serialize_graph(g))]
 
 
-def _cmd_cheeger(args) -> tuple[list[tuple[Path, str]], dict]:
+def _cmd_cheeger(args) -> tuple[dict, None]:
     g = _load_graph(args.graph)
     sd = lambda2(g, tol=args.tol, max_iter=args.max_iter, seed=args.seed)
     if g.n <= args.exact_limit:
@@ -193,11 +206,10 @@ def _cmd_cheeger(args) -> tuple[list[tuple[Path, str]], dict]:
             "converged": sd.converged,
         }
     )
-    outputs = [(args.output, _dump(doc))] if args.output else []
-    return outputs, doc
+    return doc, None
 
 
-def _cmd_sofic(args) -> tuple[list[tuple[Path, str]], dict]:
+def _cmd_sofic(args) -> tuple[dict, None]:
     g = _load_graph(args.graph)
     if args.words is not None:
         words = parse_words_text(args.words.read_text())
@@ -206,27 +218,22 @@ def _cmd_sofic(args) -> tuple[list[tuple[Path, str]], dict]:
         if not words:
             why = "the graph has no generators" if len(g.gens) == 0 else f"--max-len {args.max_len} allows no nonempty word"
             raise SoficlabError(f"no reduced words: {why}")
-    report = sofic_report(g, words)
-    doc = report.as_dict()
-    outputs = [(args.output, _dump(doc))] if args.output else []
-    return outputs, doc
+    return sofic_report(g, words).as_dict(), None
 
 
-def _cmd_improve(args) -> tuple[list[tuple[Path, str]], dict]:
+def _cmd_improve(args) -> tuple[dict, list[tuple[Path, str]]]:
     g = _load_graph(args.graph)
     c = parse_map_text(args.map.read_text())
     cfg = _improvement_config(args, kappa=args.kappa)
     improved, trace = improve(g, c, cfg)
     doc = trace.as_dict()
-    outputs = []
-    if args.output:
-        outputs.append((args.output, format_map_text(improved)))
-        trace_path = args.trace if args.trace else args.output.with_name(args.output.name + ".trace.json")
-        outputs.append((trace_path, _dump(doc)))
-    return outputs, doc
+    if not args.output:
+        return doc, []
+    trace_path = args.trace if args.trace else args.output.with_name(args.output.name + ".trace.json")
+    return doc, [(args.output, format_map_text(improved)), (trace_path, _dump(doc))]
 
 
-def _cmd_cluster_group(args) -> tuple[list[tuple[Path, str]], dict]:
+def _cmd_cluster_group(args) -> tuple[dict, None]:
     g = _load_graph(args.graph)
     seeds = [parse_map_text(p.read_text()) for p in args.maps]
     if args.auto:
@@ -235,40 +242,32 @@ def _cmd_cluster_group(args) -> tuple[list[tuple[Path, str]], dict]:
         raise SoficlabError(f"--auto found no automorphism: the graph has n={g.n} vertices" if args.auto
                             else "no seed maps: pass --map or --auto")
     cfg = _improvement_config(args)
-    cg = cluster_group(g, args.delta, seeds, cfg, closure_bound=args.closure_bound)
-    doc = cg.as_dict()
-    outputs = [(args.output, _dump(doc))] if args.output else []
-    return outputs, doc
+    return cluster_group(g, args.delta, seeds, cfg, closure_bound=args.closure_bound).as_dict(), None
 
 
-def _cmd_lef_check(args) -> tuple[list[tuple[Path, str]], dict]:
+def _cmd_lef_check(args) -> tuple[dict, None]:
     g = _load_graph(args.graph)
     gamma = [tok for tok in args.gamma.split(",") if tok]
     words = parse_words_text(args.words.read_text())
     cfg = _improvement_config(args)
-    cert = lef_certificate(g, gamma, words, args.delta, cfg)
-    doc = cert.as_dict()
-    outputs = [(args.output, _dump(doc))] if args.output else []
-    return outputs, doc
+    return lef_certificate(g, gamma, words, args.delta, cfg).as_dict(), None
 
 
-def _cmd_report(args) -> tuple[list[tuple[Path, str]], dict]:
+def _cmd_report(args) -> tuple[dict, None]:
     g = _load_graph(args.graph)
     count, _ = connected_components(g)
+    names, inverse = g.gens.symbols, g.gens.inverse
     doc = {
         "n": g.n,
         "degree": g.degree,
-        "symbols": list(g.gens.symbols),
-        "inverse_pairs": [
-            [s, g.gens.inverse_symbol(s)] for s in g.gens.symbols if g.gens.index(s) <= g.gens.inverse[g.gens.index(s)]
-        ],
+        "symbols": list(names),
+        "inverse_pairs": [[names[i], names[inverse[i]]] for i in g.gens.pair_representatives()],
         "connected": count <= 1,
         "components": count,
         "simple": is_simple(g),
         "loops": loop_count(g),
     }
-    outputs = [(args.output, _dump(doc))] if args.output else []
-    return outputs, doc
+    return doc, None
 
 
 _HANDLERS = {
@@ -301,11 +300,13 @@ def run(argv) -> int:
         return 0 if exc.code in (0, None) else 2
     start = time.perf_counter()
     try:
-        outputs, doc = _HANDLERS[args.command](args)
+        doc, outputs = _HANDLERS[args.command](args)
     except (SoficlabError, ValueError, OSError, KeyError, MemoryError) as exc:
         sys.stdout.write(_dump({"error": {"type": type(exc).__name__, "message": str(exc)}}))
         return 1
     wall = time.perf_counter() - start
+    if outputs is None:  # the document is the artifact
+        outputs = [(args.output, _dump(doc))] if args.output else []
     for path, text in outputs:
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(text)

@@ -543,10 +543,11 @@ def descending_order(vec: np.ndarray, limit: int | None = None) -> np.ndarray:
 
     A partial order comes from one in-place partition of the negated values
     at the ``limit``-th: every cell above that value, then the tied cells
-    with the smallest indices, and a sort of those ``limit`` cells only.
-    The negated copy is the one array of the size of ``vec`` that is made."""
+    with the smallest indices, and a stable sort of those ``limit`` cells
+    only, whose indices ascend within each value.  The negated copy is the
+    one array of the size of ``vec`` that is made."""
     if limit is None or limit >= vec.size:
-        return np.lexsort((np.arange(vec.size), -vec))
+        return np.argsort(np.negative(vec), kind="stable")
     neg = np.negative(vec)
     neg.partition(limit - 1)
     kth = neg[limit - 1]
@@ -557,7 +558,7 @@ def descending_order(vec: np.ndarray, limit: int | None = None) -> np.ndarray:
         before, tied = vec > -kth, vec == -kth
     above = np.flatnonzero(before)
     top = np.concatenate((above, np.flatnonzero(tied)[: limit - above.size]))
-    return top[np.lexsort((top, -vec[top]))]
+    return top[np.argsort(np.negative(vec[top]), kind="stable")]
 
 
 def sweep_cut(g: LabeledGraph, vec) -> tuple[VertexSet, float]:

@@ -196,6 +196,45 @@ def test_report_subcommand(tmp_path):
     }
 
 
+_OUTPUT_RULE_RUNS = {
+    "cheeger": ["cheeger", "{z6}"],
+    "sofic": ["sofic", "{z6}"],
+    "report": ["report", "{z6}"],
+    "improve": ["improve", "{z6}", "--map", "{shift}"],
+    "cluster-group": ["cluster-group", "{z6}", "--auto"],
+    "lef-check": ["lef-check", "{s3z4}", "--gamma", "g8,g12,g16", "--words", "{words}"],
+}
+
+
+@pytest.mark.parametrize("command", list(_OUTPUT_RULE_RUNS))
+def test_one_output_rule(tmp_path, capsys, command):
+    # the document goes to -o when given, else to stdout; improve -o writes
+    # its map there and the document beside it as the trace
+    inputs = {"z6": tmp_path / "z6.json", "s3z4": tmp_path / "s3z4.json",
+              "shift": tmp_path / "shift.txt", "words": tmp_path / "f.txt"}
+    assert run(["gen", "cayley", "--group", "z6", "--gens", "1,5", "-o", str(inputs["z6"])]) == 0
+    assert run(["gen", "cayley", "--group", "s3xz4", "-o", str(inputs["s3z4"])]) == 0
+    assert capsys.readouterr().out == ""
+    inputs["shift"].write_text(format_map_text(VertexMap(np.roll(np.arange(6), -1))))
+    inputs["words"].write_text("()\ng1\n")
+    argv = [a.format(**inputs) for a in _OUTPUT_RULE_RUNS[command]]
+
+    assert run(argv) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "out" / "doc"
+    assert run(argv + ["-o", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    written = [out, out.with_name("doc.trace.json")] if command == "improve" else [out]
+    assert printed == written[-1].read_text()
+    assert read_json(out.with_name("doc.manifest.json"))["outputs"] == [str(p) for p in written]
+    assert sorted(out.parent.iterdir()) == sorted(written + [out.with_name("doc.manifest.json")])
+    if command == "improve":
+        trace = tmp_path / "t.json"
+        assert run(argv + ["--trace", str(trace)]) == 0
+        assert capsys.readouterr().out == printed
+        assert not trace.exists()
+
+
 def test_domain_error_exit_code_and_document(tmp_path, capsys):
     out = tmp_path / "never.json"
     rc = run(["gen", "cayley", "--group", "z4", "--gens", "1", "-o", str(out)])
@@ -311,6 +350,8 @@ def test_empty_seed_or_word_list_names_its_cause(tmp_path, capsys):
         (["gen", "cayley", "--group", "s3", "--table", table, "-o", out], one_source),
         (["gen", "cayley", "-o", out], one_source),
         (["gen", "cayley", "--group", "s3", "--gens", ",", "-o", out], "--gens lists no element"),
+        (["gen", "cayley", "--group", "s3", "--gens", "1,x", "-o", out], "--gens lists 'x', not an element index"),
+        (["gen", "cayley", "--group", "s3", "--gens", "1.5", "-o", out], "--gens lists '1.5', not an element index"),
         (["gen", "cayley", "--table", table, "-o", out], "the table file lists no generators: pass --gens"),
         (["gen", "cayley", "--group", "z1", "-o", out], "the preset z1 has no default generators: pass --gens"),
         (["cluster-group", empty, "--auto"], "--auto found no automorphism: the graph has n=0 vertices"),
