@@ -247,7 +247,7 @@ def _cmd_cluster_group(args) -> tuple[dict, None]:
 
 def _cmd_lef_check(args) -> tuple[dict, None]:
     g = _load_graph(args.graph)
-    gamma = [tok for tok in args.gamma.split(",") if tok]
+    gamma = [tok.strip() for tok in args.gamma.split(",") if tok.strip()]
     words = parse_words_text(args.words.read_text())
     cfg = _improvement_config(args)
     return lef_certificate(g, gamma, words, args.delta, cfg).as_dict(), None

@@ -77,6 +77,7 @@ from .errors import (
     NonPositiveCheeger,
     NotBijective,
 )
+from .groups import is_associative
 from .sofic import Word, word_action
 
 CLOSURE_FACTOR = 10
@@ -522,9 +523,8 @@ def cluster_group(
     for i in range(k):
         if inverse_map[inverse_map[i]] != i or table[i, inverse_map[i]] != identity_index:
             raise HypothesisViolation("inverse map is inconsistent with the table")
-    for a in range(k):
-        if not np.array_equal(table[table[a]], table[a][table]):
-            raise HypothesisViolation("cluster multiplication table is not associative")
+    if not is_associative(table, identity_index):
+        raise HypothesisViolation("cluster multiplication table is not associative")
     _check_associativity_inequality(reps, table, prods)
     seed_clusters = [reps.locate(i) for i in seed_ids]
     return ClusterGroup(

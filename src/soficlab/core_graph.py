@@ -25,6 +25,7 @@ from .errors import (
     NotInverseClosed,
     UnknownSymbol,
 )
+from .groups import check_table
 
 GRAPH_FORMAT_VERSION = 1
 
@@ -168,52 +169,16 @@ def make_labeled_graph(n: int, gens: GeneratorSet, actions) -> LabeledGraph:
     return LabeledGraph(n, gens, arr)
 
 
-def _check_table(table: np.ndarray) -> tuple[int, np.ndarray]:
-    """Validate a multiplication table; return (identity element, inverse array)."""
-    m = table.shape[0]
-    if table.ndim != 2 or table.shape != (m, m):
-        raise InvalidTable("multiplication table must be square")
-    if m == 0:
-        raise InvalidTable("empty table")
-    if table.min() < 0 or table.max() >= m:
-        raise InvalidTable("table entries out of range")
-    ident_row = np.arange(m)
-    for i in range(m):
-        if np.bincount(table[i], minlength=m).max() > 1 or np.bincount(table[:, i], minlength=m).max() > 1:
-            raise InvalidTable("table is not a latin square")
-    identity = None
-    for e in range(m):
-        if np.array_equal(table[e], ident_row) and np.array_equal(table[:, e], ident_row):
-            identity = e
-            break
-    if identity is None:
-        raise InvalidTable("table has no two-sided identity")
-    inv = np.full(m, -1, dtype=np.int64)
-    for a in range(m):
-        hits = np.flatnonzero(table[a] == identity)
-        if hits.size != 1 or table[hits[0], a] != identity:
-            raise InvalidTable("table has an element without a two-sided inverse")
-        inv[a] = hits[0]
-    if m <= 256:
-        # (a*b)*c == a*(b*c) for all triples, vectorized one row at a time;
-        # m^3 work, so larger tables are trusted.
-        for a in range(m):
-            if not np.array_equal(table[table[a]], table[a][table]):
-                raise InvalidTable("table is not associative")
-    return identity, inv
-
-
 def cayley_graph(mult_table, gen_indices, symbol_names: list[str] | None = None) -> LabeledGraph:
     """Left-multiplication Cayley graph of a finite group given by its table.
 
     Vertices are the group elements; the symbol for generator ``s`` acts by
     ``x -> s*x``.  ``gen_indices`` must be closed under group inverse.
-    Connectivity is not required (and not checked here).  Associativity is
-    checked for tables of at most 256 elements.
+    Connectivity is not required (and not checked here).
     """
     table = np.asarray(mult_table, dtype=np.int64)
     m = table.shape[0]
-    _, inv = _check_table(table)
+    _, inv = check_table(table)
     gen_indices = list(gen_indices)
     outside = [g for g in gen_indices if not 0 <= g < m]
     if outside:

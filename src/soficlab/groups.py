@@ -1,4 +1,5 @@
 """Multiplication tables for small built-in groups and their default generators.
+This module is also the one that validates group tables: :func:`check_table`.
 
 Element numbering conventions (documented because Cayley generators are given
 as element indices):
@@ -16,6 +17,8 @@ from __future__ import annotations
 from itertools import permutations
 
 import numpy as np
+
+from .errors import InvalidTable
 
 
 def cyclic_table(n: int) -> np.ndarray:
@@ -41,27 +44,69 @@ def symmetric_table(k: int) -> np.ndarray:
 
 def dihedral_table(n: int) -> np.ndarray:
     """Dihedral group of order 2n; see the module docstring for numbering."""
-    m = 2 * n
-    table = np.empty((m, m), dtype=np.int64)
-    for a in range(m):
-        i1, j1 = a % n, a // n
-        for b in range(m):
-            i2, j2 = b % n, b // n
-            i = (i1 + i2) % n if j1 == 0 else (i1 - i2) % n
-            table[a, b] = i + n * ((j1 + j2) % 2)
-    return table
+    a = np.arange(2 * n)
+    i, j = a % n, a // n
+    sign = 1 - 2 * j  # r^i f^j * r^i' = r^(i + sign * i') f^j
+    return (i[:, None] + sign[:, None] * i) % n + n * ((j[:, None] + j) % 2)
 
 
 def direct_product_table(ta: np.ndarray, tb: np.ndarray) -> np.ndarray:
+    # ((a1,b1)*(a2,b2)) encoded blockwise: axes (a1, b1, a2, b2)
     na, nb = ta.shape[0], tb.shape[0]
-    a = np.arange(na)
-    b = np.arange(nb)
-    # ((a1,b1)*(a2,b2)) encoded blockwise
-    out = np.empty((na * nb, na * nb), dtype=np.int64)
-    for a1 in range(na):
-        for b1 in range(nb):
-            out[a1 * nb + b1] = (ta[a1][a][:, None] * nb + tb[b1][b][None, :]).ravel()
-    return out
+    return (ta[:, None, :, None] * nb + tb[None, :, None, :]).reshape(na * nb, na * nb)
+
+
+def is_associative(table: np.ndarray, identity: int) -> bool:
+    """Light's test: is this square table on ``0..m-1`` with the two-sided
+    identity ``identity`` associative?  By Light's lemma (Clifford and
+    Preston, The Algebraic Theory of Semigroups I, 1961) the g with
+    (a*g)*b = a*(g*b) for all a, b are closed under the product, so it
+    suffices that a generating set passes: the smallest element not yet
+    generated is tested, and the generated set (first the identity) is closed
+    under right multiplication by those that passed.  On a latin square each
+    pass at least doubles the generated subloop H, as H*g is disjoint from H:
+    at most log2 m + 1 checks of O(m^2) each instead of O(m^3)."""
+    m = table.shape[0]
+    rows_per_block = max(1, (1 << 16) // m)  # two 512 KB int64 blocks, in cache
+    generated = np.arange(m) == identity
+    passed = []
+    while not generated.all():
+        g = int(np.argmin(generated))
+        blocks = (table[lo : lo + rows_per_block] for lo in range(0, m, rows_per_block))
+        if not all(np.array_equal(table[rows[:, g]], rows.take(table[g], axis=1)) for rows in blocks):
+            return False
+        passed.append(g)
+        generated[g] = True
+        frontier = np.flatnonzero(generated)
+        while frontier.size:
+            products = table[frontier[:, None], passed].ravel()
+            frontier = products[~generated[products]]
+            generated[frontier] = True
+    return True
+
+
+def check_table(table: np.ndarray) -> tuple[int, np.ndarray]:
+    """Validate a group table; return (identity element, inverse array)."""
+    m = table.shape[0]
+    if table.ndim != 2 or table.shape != (m, m):
+        raise InvalidTable("multiplication table must be square")
+    if m == 0:
+        raise InvalidTable("empty table")
+    if table.min() < 0 or table.max() >= m:
+        raise InvalidTable("table entries out of range")
+    for i in range(m):
+        if np.bincount(table[i], minlength=m).max() > 1 or np.bincount(table[:, i], minlength=m).max() > 1:
+            raise InvalidTable("table is not a latin square")
+    identity = int(np.flatnonzero(table[:, 0] == 0)[0])  # the one candidate in a latin square
+    ident_row = np.arange(m)
+    if not (np.array_equal(table[identity], ident_row) and np.array_equal(table[:, identity], ident_row)):
+        raise InvalidTable("table has no two-sided identity")
+    inv = np.flatnonzero(table == identity) % m  # each row's one right inverse
+    if not np.array_equal(table[inv, ident_row], np.full(m, identity)):
+        raise InvalidTable("table has an element without a two-sided inverse")
+    if not is_associative(table, identity):
+        raise InvalidTable("table is not associative")
+    return identity, inv
 
 
 def element_index_sym(k: int, perm: tuple[int, ...]) -> int:

@@ -5,9 +5,11 @@ import sys
 import numpy as np
 import pytest
 
-from soficlab import parse_graph
+from soficlab import groups, parse_graph
 from soficlab.almost_auto import VertexMap, format_map_text, parse_map_text
 from soficlab.cli import build_parser, run
+
+from conftest import NON_ASSOCIATIVE_LOOP
 
 
 def read_json(path):
@@ -493,3 +495,30 @@ def test_word_file_errors_are_json_documents(tmp_path, capsys, text, error):
         if error == "ValueError":
             assert doc["error"]["message"] == "word list must be nonempty"
     assert not list(tmp_path.glob("out*"))
+
+
+def test_gen_cayley_refuses_a_large_non_associative_table(tmp_path, capsys):
+    # the loop x Z60 has 300 elements, an identity and inverses, and no
+    # associative product
+    table = groups.direct_product_table(np.array(NON_ASSOCIATIVE_LOOP), groups.cyclic_table(60))
+    table_path = tmp_path / "t.json"
+    table_path.write_text(json.dumps({"table": table.tolist(), "generators": [1, 59]}))
+    out = tmp_path / "g.json"
+    assert run(["gen", "cayley", "--table", str(table_path), "-o", str(out)]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc == {"error": {"type": "InvalidTable", "message": "table is not associative"}}
+    assert not out.exists()
+
+
+def test_lef_check_gamma_accepts_spaces_around_labels(tmp_path, capsys):
+    g = tmp_path / "g.json"
+    run(["gen", "cayley", "--group", "s4xz5", "-o", str(g)])
+    words = tmp_path / "f.txt"
+    words.write_text("()\ng1\n")
+    printed = []
+    for gamma in ("g30,g45,g90", "g30, g45, g90", " g30 ,g45 , g90, "):
+        capsys.readouterr()
+        assert run(["lef-check", str(g), "--gamma", gamma, "--words", str(words)]) == 0
+        printed.append(capsys.readouterr().out)
+    assert json.loads(printed[0])["status"] == "certified"
+    assert printed[1] == printed[0] and printed[2] == printed[0]

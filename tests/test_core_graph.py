@@ -500,3 +500,174 @@ def test_vertex_set_semantics():
     s = VertexSet.from_indices(8, [1, 3, 5])
     assert s.cardinality == 3
     assert 3 in s and 2 not in s
+
+
+def test_cayley_refuses_a_left_identity_that_is_no_right_identity():
+    # 0*y = y, but x*0 = -x; the existing case (x - y) has only a right identity
+    with pytest.raises(InvalidTable, match="^table has no two-sided identity$"):
+        cayley_graph([[(j - i) % 3 for j in range(3)] for i in range(3)], [1])
+
+
+def _triple_associative(table):
+    """The brute-force check over all m^3 triples: (a*b)*c == a*(b*c)."""
+    table = np.asarray(table)
+    return bool(np.array_equal(table[table], table[:, table]))
+
+
+# every single-factor preset of at most 120 elements, and some products;
+# every preset puts its identity at 0
+_SMALL_PRESETS = (
+    [f"z{n}" for n in range(1, 121)]
+    + [f"s{k}" for k in range(1, 6)]
+    + [f"d{n}" for n in range(1, 61)]
+    + ["z2xz2", "z2xz2xz2", "s3xz4", "d4xs3", "z3xd5", "s4xz5"]
+)
+
+
+def test_is_associative_agrees_with_the_triple_check_on_presets():
+    for name in _SMALL_PRESETS:
+        table, _ = groups.preset_group(name)
+        assert table.shape[0] <= 120
+        assert groups.is_associative(table, 0) is _triple_associative(table) is True, name
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 7, 12, 60])
+def test_is_associative_refuses_the_loop_times_a_cyclic_group(m):
+    loop, cyclic = np.array(NON_ASSOCIATIVE_LOOP), groups.cyclic_table(m)
+    for table in (groups.direct_product_table(loop, cyclic), groups.direct_product_table(cyclic, loop)):
+        assert groups.is_associative(table, 0) is _triple_associative(table) is False
+
+
+_HYPOTHESIS_GROUPS = ["z1", "z2", "z6", "z2xz2", "s3", "d4", "z2xz2xz2", "z3xz3", "d5", "s3xz2", "s4"]
+
+
+@st.composite
+def _relabeled_group_tables(draw):
+    """A preset group table under a random relabeling p of its elements:
+    rows, columns and entries permuted alike, the identity moved to p[0]."""
+    table, _ = groups.preset_group(draw(st.sampled_from(_HYPOTHESIS_GROUPS)))
+    m = table.shape[0]
+    p = np.array(draw(st.permutations(range(m))), dtype=np.int64)
+    relabeled = np.empty_like(table)
+    relabeled[np.ix_(p, p)] = p[table]
+    return relabeled, int(p[0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(_relabeled_group_tables(), st.data())
+def test_is_associative_agrees_with_the_triple_check_on_drawn_tables(relabeled, data):
+    table, identity = relabeled
+    m = table.shape[0]
+    assert groups.is_associative(table, identity) is _triple_associative(table) is True
+
+    # rows and columns permuted apart give a latin square; normalised to the
+    # loop x o y = T[R^-1(x), C^-1(y)], with R(x) = T[x, 0] and C(y) = T[0, y],
+    # it has the identity T[0, 0]
+    rows = np.array(data.draw(st.permutations(range(m))), dtype=np.int64)
+    cols = np.array(data.draw(st.permutations(range(m))), dtype=np.int64)
+    square = table[np.ix_(rows, cols)]
+    loop = square[np.ix_(np.argsort(square[:, 0]), np.argsort(square[0]))]
+    loop_identity = int(square[0, 0])
+    assert np.array_equal(loop[loop_identity], np.arange(m)) and np.array_equal(loop[:, loop_identity], np.arange(m))
+    assert groups.is_associative(loop, loop_identity) is _triple_associative(loop)
+
+    # one entry outside the identity's row and column overwritten
+    if m > 1:
+        others = [x for x in range(m) if x != identity]
+        a, b = data.draw(st.sampled_from(others)), data.draw(st.sampled_from(others))
+        broken = table.copy()
+        broken[a, b] = data.draw(st.integers(min_value=0, max_value=m - 1))
+        assert groups.is_associative(broken, identity) is _triple_associative(broken)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_is_associative_tests_every_generator(k):
+    # loop x Z2^k numbers the group's 2^k elements first, and they pass: the
+    # loop's first element fails only at the (k+1)-th check
+    group = groups.preset_group("x".join(["z2"] * k))[0]
+    table = groups.direct_product_table(np.array(NON_ASSOCIATIVE_LOOP), group)
+    assert groups.is_associative(table, 0) is _triple_associative(table) is False
+
+
+def _with_an_involution_that_fails(group):
+    """A nontrivial group with one element x adjoined: x*g = g*x = x for g
+    in the group and x*x = 1.  Every group element passes Light's check and
+    x fails it, as (x*x)*g = g but x*(x*g) = 1 for g != 1; no latin square."""
+    n = group.shape[0]
+    table = np.full((n + 1, n + 1), n, dtype=np.int64)
+    table[:n, :n] = group
+    table[n, n] = 0
+    return table
+
+
+@pytest.mark.parametrize("name", ["z2", "z6", "s3", "d4"])
+def test_is_associative_tests_the_last_element(name):
+    table = _with_an_involution_that_fails(groups.preset_group(name)[0])
+    assert groups.is_associative(table, 0) is _triple_associative(table) is False
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(_HYPOTHESIS_GROUPS[1:]), st.booleans(), st.data())  # all but z1
+def test_is_associative_refuses_relabeled_non_associative_tables(name, loop_product, data):
+    # under a random relabeling the greedy order meets the failing elements
+    # at any step: all but the identity of the loop's product (its middle
+    # nucleus is its identity), or the one adjoined element
+    group = groups.preset_group(name)[0]
+    if loop_product:
+        table = groups.direct_product_table(np.array(NON_ASSOCIATIVE_LOOP), group)
+    else:
+        table = _with_an_involution_that_fails(group)
+    m = table.shape[0]
+    p = np.array(data.draw(st.permutations(range(m))), dtype=np.int64)
+    relabeled = np.empty_like(table)
+    relabeled[np.ix_(p, p)] = p[table]
+    assert groups.is_associative(relabeled, int(p[0])) is _triple_associative(relabeled) is False
+
+
+def _reference_dihedral_table(n):
+    """The per-cell double loop that the broadcast replaced."""
+    m = 2 * n
+    table = np.empty((m, m), dtype=np.int64)
+    for a in range(m):
+        i1, j1 = a % n, a // n
+        for b in range(m):
+            i2, j2 = b % n, b // n
+            i = (i1 + i2) % n if j1 == 0 else (i1 - i2) % n
+            table[a, b] = i + n * ((j1 + j2) % 2)
+    return table
+
+
+def _reference_direct_product_table(ta, tb):
+    """The per-row loop that the broadcast replaced."""
+    na, nb = ta.shape[0], tb.shape[0]
+    a = np.arange(na)
+    b = np.arange(nb)
+    out = np.empty((na * nb, na * nb), dtype=np.int64)
+    for a1 in range(na):
+        for b1 in range(nb):
+            out[a1 * nb + b1] = (ta[a1][a][:, None] * nb + tb[b1][b][None, :]).ravel()
+    return out
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_dihedral_table_matches_the_double_loop(n):
+    table = groups.dihedral_table(n)
+    assert table.dtype == np.int64 and table.flags.c_contiguous
+    assert np.array_equal(table, _reference_dihedral_table(n))
+
+
+@pytest.mark.parametrize("left, right", [("z1", "z1"), ("z2", "z3"), ("s3", "z4"), ("d4", "s3"), ("z5", "d3"), ("s4", "z5")])
+def test_direct_product_table_matches_the_row_loop(left, right):
+    ta, tb = groups.preset_group(left)[0], groups.preset_group(right)[0]
+    table = groups.direct_product_table(ta, tb)
+    assert table.dtype == np.int64 and table.flags.c_contiguous
+    assert np.array_equal(table, _reference_direct_product_table(ta, tb))
+
+
+def test_is_associative_reads_every_row_block():
+    # 300 rows are two blocks; the one overwritten entry, in the last row,
+    # is read only by the second
+    table = groups.cyclic_table(300)
+    table[299, 298] = 0
+    reference = all(np.array_equal(table[table[a]], table[a][table]) for a in range(300))
+    assert groups.is_associative(table, 0) is reference is False
