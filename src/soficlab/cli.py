@@ -153,7 +153,6 @@ def _improvement_config(args, **fields) -> ImprovementConfig:
         alpha=args.alpha,
         radius=args.radius,
         smoothing_steps=args.steps,
-        target_delta=args.delta,
         reference_ball=reference,
         **fields,
     )
@@ -224,7 +223,7 @@ def _cmd_sofic(args) -> tuple[dict, None]:
 def _cmd_improve(args) -> tuple[dict, list[tuple[Path, str]]]:
     g = _load_graph(args.graph)
     c = parse_map_text(args.map.read_text())
-    cfg = _improvement_config(args, kappa=args.kappa)
+    cfg = _improvement_config(args, kappa=args.kappa, target_delta=args.delta)
     improved, trace = improve(g, c, cfg)
     doc = trace.as_dict()
     if not args.output:

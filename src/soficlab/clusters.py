@@ -96,9 +96,10 @@ class DichotomyReport:
 
 
 def _check_delta(delta: float):
-    # a NaN delta would make every ``bad > delta * n`` check pass
-    if not math.isfinite(delta):
-        raise ValueError(f"delta must be finite, got {delta}")
+    # a NaN delta would make every ``bad > delta * n`` check pass, a negative
+    # one would fail it even at 0 bad edges
+    if not 0.0 <= delta < math.inf:
+        raise ValueError(f"delta must be finite and >= 0, got {delta}")
 
 
 def _check_delta_maps(g: LabeledGraph, delta: float, maps: list[VertexMap], require_bijective: bool):

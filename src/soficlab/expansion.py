@@ -22,7 +22,9 @@ of M: its walk counts ``A^j chi`` are exact integers, ordered exactly as
 
 from __future__ import annotations
 
+import ctypes
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
@@ -36,6 +38,19 @@ EXHAUSTIVE_LIMIT = 24
 # Largest n for which cheeger_bounds runs the Cholesky certificate: one dense
 # n x n factorisation, ~1.5 s and 256 MB at n = 4096.
 CERTIFY_LIMIT = 4096
+
+# glibc raises its mmap threshold to the size of each mapped block it frees,
+# so where the n^2 buffers land, and so improve's peak RSS, varied by 2-14 MB
+# with the seed, the environment and the earlier calls.  Fixed 1 MiB mmap and
+# trim thresholds (process-wide) map every larger block apart, unmap it when
+# freed, and leave too little free at the top of the heap to place one there.
+if sys.platform.startswith("linux"):
+    try:
+        _libc = ctypes.CDLL(None)
+        _libc.mallopt(-3, 1 << 20)  # M_MMAP_THRESHOLD
+        _libc.mallopt(-1, 1 << 20)  # M_TRIM_THRESHOLD
+    except (OSError, AttributeError):  # a libc without mallopt
+        pass
 
 # Lanczos: steps between checks of the top Ritz value (and the divisor of the
 # step count that spaces later checks), and the beta below which the Krylov
@@ -194,7 +209,7 @@ def smoothing_gap(g: LabeledGraph, cells: np.ndarray) -> float:
         raise ValueError("graph has no generators")
     n = g.n
     cells = np.sort(np.asarray(cells, dtype=np.int64))
-    images = np.concatenate(list(_moved_cells(g.actions * n, g.actions, cells, n)))
+    images = np.concatenate(list(_moved_cells(g, cells)))
     hit, counts = np.unique(images, return_counts=True)
     inside = cells[np.minimum(np.searchsorted(cells, hit), cells.size - 1)] == hit
     terms = np.where(inside, k - counts, counts)  # |k chi - A chi|, at most k
@@ -223,46 +238,56 @@ def smooth(g: LabeledGraph, cells: np.ndarray, steps: int) -> tuple[np.ndarray, 
     previous step computed) is small, ``_FRONTIER_SHARE * k * |S| < n^2``, a
     step runs on its frontier: it computes only the cells ``(s.x, s.y)`` for
     ``(x, y)`` in S and every symbol ``s``; the symbols are closed under
-    inverses, so these are all the cells with a neighbour in S.  Once the
-    support is large, the steps are dense passes of :func:`_count_rows`.
+    inverses, so these are all the cells with a neighbour in S.  A frontier
+    step reads the cells it computes from n^2 bool marks, clears them and
+    marks the cells it gathers, which the next step computes.  On the last
+    step, or once the cells it computes are many by the same rule, it drops
+    the marks instead, before it allocates its sums, so their n^2 bytes are
+    not held next to the step's sums and gathers; every later step is a
+    dense pass of :func:`_count_rows` (the support never shrinks).
 
     The first step reads ``chi`` and writes the first count buffer.  With a
     second step, ``chi`` is held in the count dtype and is that step's
     output buffer, so the two buffers are allocated once, next to each
-    other, and take turns as input and output: a bool ``chi`` freed between
-    them leaves a heap hole that later n^2 buffers do not fit, and the
-    improve-n2000 benchmark's peak RSS then reads ~85 MB instead of ~75 MB.
+    other, and take turns as input and output.
     A frontier step overwrites every cell its output buffer holds from two
     steps back (``chi`` for the second step): each such cell has a
-    neighbour in the last step's support, so it is in the new support.  The
-    bool marks of the next frontier are dropped once the steps turn dense.
+    neighbour in the last step's support, so it is in the new support.
     """
     k = len(g.gens)
     if k == 0:
         raise ValueError("graph has no generators")
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    actions, n = g.actions, g.n
+    n = g.n
     size = n * n
     dtype = _count_dtype(k, steps)
     cells = np.asarray(cells, dtype=np.int64)
-    scaled = actions * n
     marks = None  # the cells of the next step, while it runs on its frontier
     if _FRONTIER_SHARE * k * cells.size < size:
         marks = np.zeros(size, dtype=bool)
-        for moved in _moved_cells(scaled, actions, cells, n):
+        for moved in _moved_cells(g, cells):
             marks[moved] = True
     x = np.zeros(size, dtype=dtype if steps > 1 else bool)  # chi
     x[cells] = 1
     out = np.zeros(size, dtype=dtype)
     computed = 0
     for step in range(steps):
-        support, marks = _frontier(marks, k, step + 1 < steps)
-        if support is None:
-            _count_rows(actions, x.reshape(n, n), out.reshape(n, n))
+        if marks is None:
+            _count_rows(g.actions, x.reshape(n, n), out.reshape(n, n))
             computed += size
         else:
-            out[support] = _frontier_counts(scaled, actions, support, n, x, dtype, marks)
+            support = np.flatnonzero(marks)
+            if step + 1 < steps and _FRONTIER_SHARE * k * support.size < size:
+                marks[support] = False
+            else:
+                marks = None
+            total = np.zeros(support.size, dtype=dtype)
+            for moved in _moved_cells(g, support):
+                if marks is not None:
+                    marks[moved] = True
+                total += x.take(moved)
+            out[support] = total
             computed += support.size
         x, out = out, x
     return x, computed
@@ -278,42 +303,14 @@ def _count_dtype(k: int, steps: int) -> type:
     return np.float64
 
 
-def _frontier(marks: np.ndarray | None, k: int, more: bool) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """The cells of a frontier step, the marked ones, with the cleared marks
-    that collect the next step's cells; the marks are None when there is no
-    next step or it is dense (the support never shrinks, so every later step
-    is dense too).  ``(None, None)`` for a dense step."""
-    if marks is None:
-        return None, None
-    support = np.flatnonzero(marks)
-    if more and _FRONTIER_SHARE * k * support.size < marks.size:
-        marks[support] = False
-        return support, marks
-    return support, None
-
-
-def _frontier_counts(
-    scaled: np.ndarray, actions: np.ndarray, support: np.ndarray, n: int, x: np.ndarray, dtype: type,
-    marks: np.ndarray | None,
-) -> np.ndarray:
-    """``sum_s x[s.u, s.v]`` over the symbols in order at each flat cell
-    ``(u, v)`` of ``support``, marking the gathered cells in ``marks`` unless
-    it is None."""
-    total = np.zeros(support.size, dtype=dtype)
-    for moved in _moved_cells(scaled, actions, support, n):
-        if marks is not None:
-            marks[moved] = True
-        total += x.take(moved)
-    return total
-
-
-def _moved_cells(scaled: np.ndarray, actions: np.ndarray, cells: np.ndarray, n: int):
-    """For each symbol ``s`` in order, the flat ids of the cells
-    ``(s.x, s.y)`` of the flat cells ``(x, y)``; ``scaled`` is
-    ``actions * n``."""
+def _moved_cells(g: LabeledGraph, cells: np.ndarray):
+    """For each symbol ``s`` in order, the flat ids ``s.x * n + s.y`` of the
+    cells ``(s.x, s.y)`` of the flat cells ``(x, y)``."""
+    n = g.n
     rows, cols = np.divmod(cells, n)
-    for p_scaled, p in zip(scaled, actions):
-        moved = p_scaled.take(rows)
+    for p in g.actions:
+        moved = p.take(rows)
+        moved *= n
         moved += p.take(cols)
         yield moved
 

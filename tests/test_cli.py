@@ -477,6 +477,31 @@ def test_non_finite_alpha_and_delta_are_domain_errors(tmp_path, capsys):
     assert not list(tmp_path.glob("out*"))
 
 
+@pytest.mark.parametrize("delta", ["nan", "-0.5"])
+def test_delta_errors_name_the_field_each_command_has(tmp_path, capsys, delta):
+    # cluster-group and lef-check read --delta as the hypotheses' delta, improve
+    # as the config's target_delta; a negative delta is refused up front, not
+    # as a DefectTooLarge on a seed with 0 bad edges
+    g = tmp_path / "g.json"
+    run(["gen", "cayley", "--group", "s3xz4", "-o", str(g)])
+    words = tmp_path / "f.txt"
+    words.write_text("()\n")
+    runs = [
+        ["cluster-group", str(g), "--auto"],
+        ["lef-check", str(g), "--gamma", "g8,g12,g16", "--words", str(words)],
+    ]
+    for argv in runs:
+        assert run(argv + ["--delta", delta]) == 1, argv
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["type"] == "ValueError"
+        assert error["message"] == f"delta must be finite and >= 0, got {float(delta)}"
+    m = tmp_path / "m.txt"
+    m.write_text(format_map_text(VertexMap(np.arange(24))))
+    assert run(["improve", str(g), "--map", str(m), "--delta", delta]) == 1
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error == {"type": "ValueError", "message": "target_delta must be >= 0 and finite"}
+
+
 @pytest.mark.parametrize("text, error", [("g1 zz\n", "UnknownSymbol"), ("", "ValueError"), ("# a comment\n\n", "ValueError")])
 def test_word_file_errors_are_json_documents(tmp_path, capsys, text, error):
     g = tmp_path / "g.json"

@@ -960,3 +960,21 @@ def test_cluster_functions_reject_non_finite_delta(delta):
     for call in calls:
         with pytest.raises(ValueError, match="delta"):
             call()
+
+
+def test_cluster_functions_reject_negative_delta():
+    # a negative delta makes "bad > delta * n" true at 0 bad edges, so an exact
+    # automorphism would fail as DefectTooLarge; it is refused as a domain error
+    table, gens = groups.preset_group("s3")
+    g = cayley_graph(table, gens)
+    maps = [VertexMap(table[:, 0]), VertexMap(table[:, 1])]
+    assert [defect_of_map(g, m).bad_edges for m in maps] == [0, 0]
+    calls = [
+        lambda: dichotomy_check(g, -0.5, maps, h=1.5),
+        lambda: cluster_group(g, -0.5, maps, ImprovementConfig()),
+        lambda: lef_certificate(cayley_graph(*groups.preset_group("s3xz4")), ["g8", "g12", "g16"], [Word((), True)],
+                                -0.5, ImprovementConfig()),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"^delta must be finite and >= 0, got -0\.5$"):
+            call()

@@ -1,7 +1,9 @@
 import dataclasses
 import json
 import math
+import os
 import re
+import sys
 import time
 import tracemalloc
 from fractions import Fraction
@@ -488,6 +490,30 @@ def test_smooth_is_bit_identical_to_repeated_average(rng, monkeypatch, share):
                     assert computed == steps * n * n
 
 
+def test_smooth_computes_frontier_steps_until_the_support_is_large(rng):
+    # at the default share, step j runs on its frontier while step j-1 did and
+    # _FRONTIER_SHARE * k * |S_{j-1}| < n^2, S_0 the cells and S_j the j-step
+    # neighbourhood; a frontier step computes |S_j| cells, a dense one n^2
+    share = expansion._FRONTIER_SHARE
+    switched = last_on_frontier = 0
+    graphs = small_non_simple_graphs() + [involution_model(n, n) for n in (30, 60)]
+    graphs += [random_permutation_model(n, pairs, seed=n) for n, pairs in ((40, 2), (64, 2), (90, 2), (70, 3))]
+    for g in graphs:
+        n, k = g.n, len(g.gens)
+        for size in {1, 2, n // 4 + 1, n}:
+            cells = rng.choice(n * n, size, replace=False)
+            supports = [size] + _neighbourhood_sizes(g, cells, 10)
+            for steps in range(1, 11):
+                frontier = 0  # the number of frontier steps
+                while frontier < steps and share * k * supports[frontier] < n * n:
+                    frontier += 1
+                _, computed = smooth(g, cells, steps)
+                assert computed == sum(supports[1 : frontier + 1]) + (steps - frontier) * n * n
+                switched += 0 < frontier < steps
+                last_on_frontier += frontier == steps
+    assert switched and last_on_frontier
+
+
 def _exact_gap(g, cells):
     """``||chi - M chi||^2`` as a Fraction, from the product graph's gathers."""
     k = len(g.gens)
@@ -600,3 +626,20 @@ def test_smooth_counts_fall_back_to_float64_past_2_to_the_63(rng):
 def test_smooth_rejects_a_graph_without_generators():
     with pytest.raises(ValueError, match="no generators"):
         smooth(random_permutation_model(5, 0, 0), np.arange(5), 3)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/statm")
+def test_a_freed_large_array_leaves_the_resident_set():
+    # a freed 16 MB block lifts glibc's dynamic mmap threshold above 4 MB;
+    # the fixed threshold keeps the next 4 MB array mapped apart, so freeing
+    # it lowers the resident set instead of leaving it in the brk heap
+    def resident() -> int:
+        with open("/proc/self/statm") as f:
+            return int(f.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+
+    block = np.ones(1 << 22, dtype=np.int32)
+    del block
+    block = np.ones(1 << 20, dtype=np.int32)
+    before = resident()
+    del block
+    assert before - resident() >= 3 << 20
